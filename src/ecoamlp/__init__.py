@@ -1,16 +1,13 @@
 """Class-outlier-cleaned evolutionary MLP pipeline for binary tabular data."""
 
-from .automlp import AutoMlpParams, AutoMlpRun, fit_automlp, train_automlp
+from .automlp import AutoMlpParams, AutoMlpRun, fit_automlp
 from .baselines import (
     NaiveBayesModel,
     Preprocessor,
     bootstrap_sample,
-    knn_classify,
-    naive_bayes_classify,
     naive_bayes_fit,
     stratified_sample,
     ztransform_fit,
-    ztransform_fit_apply,
 )
 from .class_outlier import (
     OutlierParams,
@@ -41,7 +38,7 @@ from .harness import (
     run_sweep,
 )
 from .metrics import ConfusionMatrix, EvalReport, confusion, evaluate, report
-from .mlp import MlpConfig, MlpNetwork, forward, init_network, predict, train_epoch
+from .mlp import MlpConfig, MlpNetwork, init_network, predict, train_epoch
 
 __version__ = "0.1.0"
 
@@ -73,13 +70,10 @@ __all__ = [
     "ecodb_detect",
     "evaluate",
     "fit_automlp",
-    "forward",
     "infer_schema",
     "init_network",
-    "knn_classify",
     "load_config",
     "load_csv",
-    "naive_bayes_classify",
     "naive_bayes_fit",
     "pairwise_distances",
     "pidd_schema",
@@ -90,9 +84,7 @@ __all__ = [
     "run_sweep",
     "split",
     "stratified_sample",
-    "train_automlp",
     "train_epoch",
     "transform_nominal",
     "ztransform_fit",
-    "ztransform_fit_apply",
 ]

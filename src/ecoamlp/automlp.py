@@ -159,15 +159,6 @@ def run_generation(
     return population
 
 
-def train_automlp(split, params: AutoMlpParams) -> AutoMlpRun:
-    """Run the full search on a train/validation split.
-
-    Accepts anything with ``train`` and ``validation`` datasets; no other
-    part of the split is touched.
-    """
-    return fit_automlp(split.train, split.validation, params)
-
-
 def fit_automlp(train: Dataset, validation: Dataset, params: AutoMlpParams) -> AutoMlpRun:
     if len(train) == 0 or len(validation) == 0:
         raise ConfigError("automlp needs non-empty train and validation sets")

@@ -14,7 +14,7 @@ class 0.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class Preprocessor:
     kind: str = "none"
     fraction: Optional[float] = None
     seed: int = 0
-    outlier: Optional[OutlierParams] = None
+    outlier: OutlierParams = dataclasses.field(default_factory=OutlierParams)
 
     def __post_init__(self) -> None:
         if self.kind not in PREPROCESSOR_KINDS:
@@ -58,9 +58,6 @@ class Preprocessor:
         if self.fraction is not None:
             return self.fraction
         return 0.9 if self.kind == "stratified" else 1.0
-
-    def outlier_params(self) -> OutlierParams:
-        return self.outlier if self.outlier is not None else OutlierParams()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,15 +88,6 @@ def ztransform_fit(train: Dataset) -> ZTransform:
     scale_inv = np.zeros_like(std)
     np.divide(1.0, std, out=scale_inv, where=std > 0.0)
     return ZTransform(mean=mean, scale_inv=scale_inv)
-
-
-def ztransform_fit_apply(
-    train: Dataset,
-    others: Tuple[Dataset, ...] = (),
-) -> Tuple[Dataset, List[Dataset]]:
-    """Fit on train, apply to train and to every dataset in ``others``."""
-    zt = ztransform_fit(train)
-    return zt.apply(train), [zt.apply(d) for d in others]
 
 
 def bootstrap_sample(train: Dataset, fraction: float = 1.0, seed: int = 0) -> Dataset:
@@ -150,17 +138,6 @@ def stratified_sample(train: Dataset, fraction: float = 0.9, seed: int = 0) -> D
         rows = np.flatnonzero(train.labels == label)
         picks.extend(rows[rng.permutation(rows.shape[0])[:take]].tolist())
     return train.take_rows(picks)
-
-
-def knn_classify(
-    train: Dataset,
-    query_features: np.ndarray,
-    k: int = 5,
-    measure: Measure = Measure.EUCLIDEAN,
-) -> int:
-    """Majority vote of the k nearest training instances; ties pick class 0."""
-    return int(knn_predict(train, np.asarray(query_features, dtype=np.float64).reshape(1, -1),
-                           k, measure)[0])
 
 
 def knn_predict(
@@ -214,26 +191,20 @@ def naive_bayes_fit(train: Dataset) -> NaiveBayesModel:
     return NaiveBayesModel(np.log(prior), means, variances)
 
 
-def naive_bayes_log_posteriors(model: NaiveBayesModel, query_features: np.ndarray) -> np.ndarray:
-    """Unnormalised log-posterior for each class."""
-    q = np.asarray(query_features, dtype=np.float64)
-    if q.shape != (model.n_features,):
-        raise DataError(f"expected {model.n_features} features, got shape {q.shape}")
+def naive_bayes_log_posteriors(model: NaiveBayesModel, X: np.ndarray) -> np.ndarray:
+    """Unnormalised log-posterior of each class for each row: shape (n, 2)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.n_features:
+        raise DataError(f"expected rows of {model.n_features} features, got shape {X.shape}")
     log_pdf = -0.5 * (np.log(2.0 * np.pi * model.variances)
-                      + (q - model.means) ** 2 / model.variances)
-    return model.class_log_prior + log_pdf.sum(axis=1)
-
-
-def naive_bayes_classify(model: NaiveBayesModel, query_features: np.ndarray) -> int:
-    """Class with the higher log-posterior; an exact tie picks class 0."""
-    post = naive_bayes_log_posteriors(model, query_features)
-    return 1 if post[1] > post[0] else 0
+                      + (X[:, None, :] - model.means) ** 2 / model.variances)
+    return model.class_log_prior + log_pdf.sum(axis=2)
 
 
 def naive_bayes_predict(model: NaiveBayesModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    return np.array([naive_bayes_classify(model, X[i]) for i in range(X.shape[0])],
-                    dtype=np.int64)
+    """Class with the higher log-posterior per row; an exact tie picks class 0."""
+    post = naive_bayes_log_posteriors(model, X)
+    return (post[:, 1] > post[:, 0]).astype(np.int64)
 
 
 def _check_fraction(fraction: float) -> None:

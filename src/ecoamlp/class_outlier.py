@@ -27,13 +27,13 @@ equal distance are broken by ascending instance id.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .data import Dataset
-from .distance import Measure, distances_to, pairwise_distances
-from .errors import ConfigError, DataError
+from .distance import Measure, pairwise_distances
+from .errors import ConfigError
 
 EPSILON_DEVIATION = 1e-12
 """Stand-in divisor when a codb deviation is exactly zero."""
@@ -112,46 +112,6 @@ class OutlierReport:
         }
 
 
-def knn(
-    dataset: Dataset,
-    query_id: int,
-    k: int,
-    measure: Measure = Measure.CORRELATION,
-) -> List[Tuple[int, float]]:
-    """The k nearest neighbours of an instance as (id, distance) pairs.
-
-    The query instance is excluded from its own neighbourhood.
-    """
-    row = dataset.row_of(query_id)
-    _check_k(k, len(dataset))
-    dists = distances_to(dataset.features, dataset.features[row], measure, dataset.schema.kinds)
-    order = _neighbour_order(dists, dataset.ids, exclude_row=row)
-    return [(int(dataset.ids[j]), float(dists[j])) for j in order[:k]]
-
-
-def pcl(dataset: Dataset, query_id: int, k: int, measure: Measure = Measure.CORRELATION) -> float:
-    """Fraction of the k nearest neighbours sharing the query's label."""
-    row = dataset.row_of(query_id)
-    label = int(dataset.labels[row])
-    same = sum(1 for nid, _ in knn(dataset, query_id, k, measure)
-               if int(dataset.labels[dataset.row_of(nid)]) == label)
-    return same / k
-
-
-def deviation(dataset: Dataset, query_id: int, measure: Measure = Measure.CORRELATION) -> float:
-    """Summed distance from the query to every other same-class instance."""
-    row = dataset.row_of(query_id)
-    dists = distances_to(dataset.features, dataset.features[row], measure, dataset.schema.kinds)
-    mask = dataset.labels == dataset.labels[row]
-    mask[row] = False
-    return float(dists[mask].sum())
-
-
-def kdist(dataset: Dataset, query_id: int, k: int, measure: Measure = Measure.CORRELATION) -> float:
-    """Summed distance from the query to its k nearest neighbours."""
-    return float(sum(d for _, d in knn(dataset, query_id, k, measure)))
-
-
 def cof(
     k: int,
     pcl_value: float,
@@ -169,19 +129,6 @@ def cof(
 def ecof(k: int, pcl_value: float, norm_deviation: float, norm_kdist: float) -> float:
     """ecodb score from its components (deviation and kdist pre-normalised)."""
     return k * pcl_value - norm_deviation + norm_kdist
-
-
-def codb_score(dataset: Dataset, query_id: int, params: OutlierParams) -> float:
-    """codb score of a single instance against the rest of the dataset."""
-    score, _ = cof(
-        params.k,
-        pcl(dataset, query_id, params.k, params.measure),
-        deviation(dataset, query_id, params.measure),
-        kdist(dataset, query_id, params.k, params.measure),
-        params.alpha,
-        params.beta,
-    )
-    return score
 
 
 def codb_detect(dataset: Dataset, params: OutlierParams) -> OutlierReport:

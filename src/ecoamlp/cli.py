@@ -20,18 +20,23 @@ import json
 import sys
 from typing import List, Optional
 
-from .class_outlier import OutlierParams, codb_detect, ecodb_detect
+from .class_outlier import codb_detect, ecodb_detect
 from .errors import ConfigError, DataError
-from .distance import Measure
 from .harness import (
+    CONFIG_FIELDS,
+    SWEEP_AXES,
+    ConfigField,
+    ExperimentConfig,
     config_from_json_obj,
-    load_config,
     load_dataset,
+    read_config_json,
     run_experiment,
     run_sweep,
     write_run_report,
     write_sweep_report,
 )
+
+_FIELDS = {f.key: f for f in CONFIG_FIELDS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,25 +71,26 @@ def _build_parser() -> _Parser:
 
     sweep_p = sub.add_parser("sweep", parents=[_experiment_flags()],
                              help="compare variants along one config axis")
-    sweep_p.add_argument("--axis", choices=("preprocessor", "classifier"),
-                         default="preprocessor")
+    sweep_p.add_argument("--axis", choices=SWEEP_AXES, default=SWEEP_AXES[0])
     sweep_p.add_argument("--variants", required=True,
                          help="comma-separated variant names, e.g. none,ecodb")
     sweep_p.set_defaults(run=_cmd_sweep)
 
+    # detect-outliers shares the experiment's loading and outlier fields,
+    # with --k and --measure standing for --outlier-k and --outlier-measure
     det_p = sub.add_parser("detect-outliers",
                            help="rank class outliers in a whole CSV")
-    det_p.add_argument("--data", required=True)
-    det_p.add_argument("--schema", choices=("infer", "pidd"), default="infer")
-    det_p.add_argument("--drop-feature", action="append", default=[], metavar="NAME")
+    _add_flag(det_p, "data", required=True)
+    _add_flag(det_p, "schema")
+    _add_flag(det_p, "drop_features")
     det_p.add_argument("--algorithm", choices=("ecodb", "codb"), default="ecodb")
-    det_p.add_argument("--k", type=int, default=OutlierParams.k)
-    det_p.add_argument("--n-outliers", type=int, default=OutlierParams.n_outliers)
-    det_p.add_argument("--measure", default=OutlierParams.measure.value,
-                       choices=[m.value for m in Measure])
-    det_p.add_argument("--alpha", type=float, default=OutlierParams.alpha)
-    det_p.add_argument("--beta", type=float, default=OutlierParams.beta)
-    det_p.add_argument("--output", metavar="FILE", help="write JSON here instead of stdout")
+    _add_flag(det_p, "preprocessor.outlier.k", "--k")
+    _add_flag(det_p, "preprocessor.outlier.n_outliers")
+    _add_flag(det_p, "preprocessor.outlier.measure", "--measure")
+    _add_flag(det_p, "preprocessor.outlier.alpha")
+    _add_flag(det_p, "preprocessor.outlier.beta")
+    det_p.add_argument("--output", metavar="FILE", dest="output_file",
+                       help="write JSON here instead of stdout")
     det_p.set_defaults(run=_cmd_detect)
     return parser
 
@@ -92,96 +98,37 @@ def _build_parser() -> _Parser:
 def _experiment_flags() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", metavar="FILE", help="JSON config; flags override it")
-    p.add_argument("--data", metavar="FILE")
-    p.add_argument("--schema", choices=("infer", "pidd"))
-    p.add_argument("--drop-feature", action="append", metavar="NAME",
-                   help="drop a feature column by name (repeatable)")
-    p.add_argument("--train-fraction", type=float)
-    p.add_argument("--validation-fraction", type=float)
-    p.add_argument("--test-fraction", type=float)
-    p.add_argument("--split-seed", type=int)
-    p.add_argument("--stratified", action="store_true", default=None)
-    p.add_argument("--preprocessor",
-                   choices=("none", "ztransform", "bootstrap", "stratified", "ecodb"))
-    p.add_argument("--fraction", type=float, help="sampling fraction for bootstrap/stratified")
-    p.add_argument("--preprocessor-seed", type=int)
-    p.add_argument("--outlier-k", type=int)
-    p.add_argument("--n-outliers", type=int)
-    p.add_argument("--outlier-measure", choices=[m.value for m in Measure])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--classifier", choices=("automlp", "knn", "nb"))
-    p.add_argument("--ensemble-size", type=int)
-    p.add_argument("--cycles", type=int, help="training cycles per generation")
-    p.add_argument("--generations", type=int)
-    p.add_argument("--hidden-range", type=int, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--lr-range", type=float, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--automlp-seed", type=int)
-    p.add_argument("--warm-start", action="store_true", default=None,
-                   help="offspring with unchanged width inherit parent weights")
-    p.add_argument("--knn-k", type=int)
-    p.add_argument("--knn-measure", choices=[m.value for m in Measure])
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--output", metavar="DIR", help="write report.json/report.txt here")
-    p.add_argument("--evaluate-on-train", action="store_true", default=None,
-                   help="score the training set instead of the test set")
+    for f in CONFIG_FIELDS:
+        _add_flag(p, f.key)
     return p
 
 
-def _experiment_config(args):
-    if args.config:
-        obj = _raw_config(args.config)
-    else:
-        obj = {}
-    _override(obj, "data", args.data)
-    _override(obj, "schema", args.schema)
-    if args.drop_feature:
-        obj["drop_features"] = list(obj.get("drop_features", [])) + args.drop_feature
-    split = obj.setdefault("split", {})
-    _override(split, "train", args.train_fraction)
-    _override(split, "validation", args.validation_fraction)
-    _override(split, "test", args.test_fraction)
-    _override(split, "seed", args.split_seed)
-    _override(split, "stratified", args.stratified)
-    pre = obj.setdefault("preprocessor", {})
-    _override(pre, "kind", args.preprocessor)
-    _override(pre, "fraction", args.fraction)
-    _override(pre, "seed", args.preprocessor_seed)
-    outlier = pre.setdefault("outlier", {})
-    _override(outlier, "k", args.outlier_k)
-    _override(outlier, "n_outliers", args.n_outliers)
-    _override(outlier, "measure", args.outlier_measure)
-    _override(outlier, "alpha", args.alpha)
-    _override(outlier, "beta", args.beta)
-    clf = obj.setdefault("classifier", {})
-    _override(clf, "kind", args.classifier)
-    _override(clf, "knn_k", args.knn_k)
-    _override(clf, "knn_measure", args.knn_measure)
-    automlp = clf.setdefault("automlp", {})
-    _override(automlp, "ensemble_size", args.ensemble_size)
-    _override(automlp, "cycles_per_generation", args.cycles)
-    _override(automlp, "generations", args.generations)
-    _override(automlp, "hidden_range", args.hidden_range)
-    _override(automlp, "lr_range", args.lr_range)
-    _override(automlp, "seed", args.automlp_seed)
-    _override(automlp, "warm_start", args.warm_start)
-    _override(obj, "repeats", args.repeats)
-    _override(obj, "output_dir", args.output)
-    _override(obj, "evaluate_on_train", args.evaluate_on_train)
-    return config_from_json_obj(obj)
+def _add_flag(parser: argparse.ArgumentParser, key: str, flag: Optional[str] = None,
+              **options) -> None:
+    """Add the flag of config field ``key``, or ``flag`` in its place."""
+    f = _FIELDS[key]
+    if f.convert in (int, float):
+        options["type"] = f.convert
+    elif f.convert is bool:
+        options.update(action="store_true", default=None)
+    parser.add_argument(flag or f.flag, dest=_dest(f), **f.options, **options)
 
 
-def _raw_config(path) -> dict:
-    # reuse load_config's validation, then re-read the raw object so flag
-    # overrides can be applied before the final parse
-    load_config(path)
-    with open(path) as fh:
-        return json.load(fh)
+def _dest(f: ConfigField) -> str:
+    return f.flag[2:].replace("-", "_")
 
 
-def _override(obj: dict, key: str, value) -> None:
-    if value is not None:
-        obj[key] = value
+def _experiment_config(args) -> ExperimentConfig:
+    """Flags over the --config file over the dataclass defaults."""
+    obj = read_config_json(args.config) if getattr(args, "config", None) else {}
+    flags = {}
+    for f in CONFIG_FIELDS:
+        value = getattr(args, _dest(f), None)
+        if value is not None:
+            if f.options.get("action") == "append":  # drop_features, a top-level key
+                value = list(obj.get(f.key, [])) + value
+            flags[f.key] = value
+    return config_from_json_obj(obj, flags)
 
 
 def _cmd_run(args) -> int:
@@ -206,28 +153,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    from .data import infer_schema, load_csv, pidd_schema
-
-    schema = pidd_schema() if args.schema == "pidd" else infer_schema(args.data)
+    config = _experiment_config(args)
     # nominal values are already category ordinals after load; keeping the
     # nominal kind metadata lets the mixed measure see which columns are which
-    dataset = load_csv(args.data, schema)
-    if args.drop_feature:
-        dataset = dataset.drop_features(args.drop_feature)
-    params = OutlierParams(
-        k=args.k,
-        n_outliers=args.n_outliers,
-        measure=Measure.parse(args.measure),
-        alpha=args.alpha,
-        beta=args.beta,
-    )
+    dataset = load_dataset(config)
     detect = ecodb_detect if args.algorithm == "ecodb" else codb_detect
-    report = detect(dataset, params)
+    report = detect(dataset, config.preprocessor.outlier)
     text = json.dumps(report.to_json_obj(), indent=2)
-    if args.output:
-        with open(args.output, "w") as fh:
+    if args.output_file:
+        with open(args.output_file, "w") as fh:
             fh.write(text + "\n")
-        print(f"wrote {args.output}")
+        print(f"wrote {args.output_file}")
     else:
         print(text)
     return 0

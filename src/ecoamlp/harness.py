@@ -10,6 +10,10 @@ a z-transform) is applied to it only inside :func:`evaluate_raw`. Repeat
 ``i`` of a run offsets every configured seed by ``i`` so repeats differ
 from each other but the whole run stays reproducible.
 
+``CONFIG_FIELDS`` is the only description of the config's shape: its JSON
+form, its validation and the CLI's flags all derive from that table, and
+defaults live only in the section dataclasses.
+
 Reports serialise to JSON (stable key order; the timestamp is the only
 field that varies between identical runs) and to an aligned text table.
 File writes go through a temp file plus rename so readers never observe a
@@ -24,12 +28,13 @@ import os
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .automlp import AutoMlpParams, AutoMlpRun, fit_automlp
 from .baselines import (
+    PREPROCESSOR_KINDS,
     Preprocessor,
     bootstrap_sample,
     knn_predict,
@@ -46,7 +51,6 @@ from .class_outlier import (
 )
 from .data import (
     Dataset,
-    DataSplit,
     SplitSpec,
     infer_schema,
     load_csv,
@@ -59,6 +63,7 @@ from .errors import ConfigError
 from .metrics import EvalReport, evaluate, format_table
 
 CLASSIFIER_KINDS = ("automlp", "knn", "nb")
+SCHEMA_NAMES = ("infer", "pidd")
 SWEEP_AXES = ("preprocessor", "classifier")
 
 ECODB_GAIN_POINTS = 5.0
@@ -94,129 +99,154 @@ class ExperimentConfig:
     evaluate_on_train: bool = False
 
     def __post_init__(self) -> None:
-        if self.schema_name not in ("infer", "pidd"):
-            raise ConfigError(f"unknown schema {self.schema_name!r} (use 'infer' or 'pidd')")
+        if self.schema_name not in SCHEMA_NAMES:
+            raise ConfigError(
+                f"unknown schema {self.schema_name!r} (choose from: {', '.join(SCHEMA_NAMES)})"
+            )
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
 
 
+class ConfigField(NamedTuple):
+    """One experiment setting: its JSON key, dataclass attribute and CLI flag.
+
+    ``convert`` turns a JSON (or flag) value into the attribute's value and
+    is None for strings kept as they are; int and float also type the flag
+    and bool makes it a switch. ``options`` are extra argparse options.
+    ``read`` gives the JSON value when it is not the attribute itself.
+    """
+
+    key: str
+    attr: str
+    flag: str
+    convert: Optional[Callable] = None
+    options: dict = {}
+    read: Optional[Callable] = None
+
+
+CONFIG_SECTIONS = {
+    "": ExperimentConfig,
+    "split": SplitSpec,
+    "preprocessor": Preprocessor,
+    "preprocessor.outlier": OutlierParams,
+    "classifier": ClassifierConfig,
+    "classifier.automlp": AutoMlpParams,
+}
+"""Dataclass of each JSON section, parents first. A section's last key
+component is also its attribute name in the parent dataclass."""
+
+_MEASURES = {"choices": [m.value for m in Measure]}
+_RANGE = {"nargs": 2, "metavar": ("LO", "HI")}
+
+CONFIG_FIELDS = (
+    ConfigField("data", "data_path", "--data", options={"metavar": "FILE"}),
+    ConfigField("schema", "schema_name", "--schema", options={"choices": SCHEMA_NAMES}),
+    ConfigField("drop_features", "drop_features", "--drop-feature", tuple,
+                {"action": "append", "metavar": "NAME",
+                 "help": "drop a feature column by name (repeatable)"}),
+    ConfigField("split.train", "train_fraction", "--train-fraction", float),
+    ConfigField("split.validation", "validation_fraction", "--validation-fraction", float),
+    ConfigField("split.test", "test_fraction", "--test-fraction", float),
+    ConfigField("split.seed", "seed", "--split-seed", int),
+    ConfigField("split.stratified", "stratified", "--stratified", bool),
+    ConfigField("preprocessor.kind", "kind", "--preprocessor",
+                options={"choices": PREPROCESSOR_KINDS}),
+    ConfigField("preprocessor.fraction", "fraction", "--fraction", float,
+                {"help": "sampling fraction for bootstrap/stratified"},
+                read=Preprocessor.effective_fraction),
+    ConfigField("preprocessor.seed", "seed", "--preprocessor-seed", int),
+    ConfigField("preprocessor.outlier.k", "k", "--outlier-k", int),
+    ConfigField("preprocessor.outlier.n_outliers", "n_outliers", "--n-outliers", int),
+    ConfigField("preprocessor.outlier.measure", "measure", "--outlier-measure",
+                Measure.parse, _MEASURES),
+    ConfigField("preprocessor.outlier.alpha", "alpha", "--alpha", float),
+    ConfigField("preprocessor.outlier.beta", "beta", "--beta", float),
+    ConfigField("classifier.kind", "kind", "--classifier",
+                options={"choices": CLASSIFIER_KINDS}),
+    ConfigField("classifier.automlp.ensemble_size", "ensemble_size", "--ensemble-size", int),
+    ConfigField("classifier.automlp.cycles_per_generation", "cycles_per_generation",
+                "--cycles", int, {"help": "training cycles per generation"}),
+    ConfigField("classifier.automlp.generations", "generations", "--generations", int),
+    ConfigField("classifier.automlp.hidden_range", "hidden_range", "--hidden-range", tuple,
+                {"type": int, **_RANGE}),
+    ConfigField("classifier.automlp.lr_range", "lr_range", "--lr-range", tuple,
+                {"type": float, **_RANGE}),
+    ConfigField("classifier.automlp.seed", "seed", "--automlp-seed", int),
+    ConfigField("classifier.automlp.warm_start", "warm_start", "--warm-start", bool,
+                {"help": "offspring with unchanged width inherit parent weights"}),
+    ConfigField("classifier.knn_k", "knn_k", "--knn-k", int),
+    ConfigField("classifier.knn_measure", "knn_measure", "--knn-measure",
+                Measure.parse, _MEASURES),
+    ConfigField("repeats", "repeats", "--repeats", int),
+    ConfigField("output_dir", "output_dir", "--output",
+                options={"metavar": "DIR", "help": "write report.json/report.txt here"}),
+    ConfigField("evaluate_on_train", "evaluate_on_train", "--evaluate-on-train", bool,
+                {"help": "score the training set instead of the test set"}),
+)
+"""The experiment config's only field list, in JSON key order."""
+
+_FIELD_KEYS = tuple(f.key for f in CONFIG_FIELDS)
+
+
 def config_to_json_obj(config: ExperimentConfig) -> dict:
-    pre = config.preprocessor
-    out = pre.outlier_params()
-    return {
-        "data": config.data_path,
-        "schema": config.schema_name,
-        "drop_features": list(config.drop_features),
-        "split": {
-            "train": config.split.train_fraction,
-            "validation": config.split.validation_fraction,
-            "test": config.split.test_fraction,
-            "seed": config.split.seed,
-            "stratified": config.split.stratified,
-        },
-        "preprocessor": {
-            "kind": pre.kind,
-            "fraction": pre.effective_fraction(),
-            "seed": pre.seed,
-            "outlier": {
-                "k": out.k,
-                "n_outliers": out.n_outliers,
-                "measure": out.measure.value,
-                "alpha": out.alpha,
-                "beta": out.beta,
-            },
-        },
-        "classifier": {
-            "kind": config.classifier.kind,
-            "automlp": {
-                "ensemble_size": config.classifier.automlp.ensemble_size,
-                "cycles_per_generation": config.classifier.automlp.cycles_per_generation,
-                "generations": config.classifier.automlp.generations,
-                "hidden_range": list(config.classifier.automlp.hidden_range),
-                "lr_range": list(config.classifier.automlp.lr_range),
-                "seed": config.classifier.automlp.seed,
-                "warm_start": config.classifier.automlp.warm_start,
-            },
-            "knn_k": config.classifier.knn_k,
-            "knn_measure": config.classifier.knn_measure.value,
-        },
-        "repeats": config.repeats,
-        "output_dir": config.output_dir,
-        "evaluate_on_train": config.evaluate_on_train,
-    }
+    obj: dict = {}
+    for f in CONFIG_FIELDS:
+        *path, name = f.key.split(".")
+        section, source = obj, config
+        for part in path:
+            section = section.setdefault(part, {})
+            source = getattr(source, part)
+        value = f.read(source) if f.read else getattr(source, f.attr)
+        if isinstance(value, Measure):
+            value = value.value
+        section[name] = list(value) if isinstance(value, tuple) else value
+    return obj
 
 
-def config_from_json_obj(obj: dict) -> ExperimentConfig:
-    obj = _checked_keys("config", obj, {
-        "data", "schema", "drop_features", "split", "preprocessor", "classifier",
-        "repeats", "output_dir", "evaluate_on_train",
-    })
-    split_obj = _checked_keys("split", obj.get("split", {}),
-                              {"train", "validation", "test", "seed", "stratified"})
-    pre_obj = _checked_keys("preprocessor", obj.get("preprocessor", {}),
-                            {"kind", "fraction", "seed", "outlier"})
-    out_obj = _checked_keys("outlier", pre_obj.get("outlier", {}),
-                            {"k", "n_outliers", "measure", "alpha", "beta"})
-    clf_obj = _checked_keys("classifier", obj.get("classifier", {}),
-                            {"kind", "automlp", "knn_k", "knn_measure"})
-    auto_obj = _checked_keys("automlp", clf_obj.get("automlp", {}), {
-        "ensemble_size", "cycles_per_generation", "generations",
-        "hidden_range", "lr_range", "seed", "warm_start",
-    })
-    split_default = SplitSpec()
-    auto_default = AutoMlpParams()
-    outlier = None
-    if out_obj:
-        base = OutlierParams()
-        outlier = OutlierParams(
-            k=int(out_obj.get("k", base.k)),
-            n_outliers=int(out_obj.get("n_outliers", base.n_outliers)),
-            measure=Measure.parse(out_obj.get("measure", base.measure.value)),
-            alpha=float(out_obj.get("alpha", base.alpha)),
-            beta=float(out_obj.get("beta", base.beta)),
-        )
-    return ExperimentConfig(
-        data_path=obj.get("data"),
-        schema_name=obj.get("schema", "infer"),
-        drop_features=tuple(obj.get("drop_features", ())),
-        split=SplitSpec(
-            train_fraction=float(split_obj.get("train", split_default.train_fraction)),
-            validation_fraction=float(
-                split_obj.get("validation", split_default.validation_fraction)
-            ),
-            test_fraction=float(split_obj.get("test", split_default.test_fraction)),
-            seed=int(split_obj.get("seed", split_default.seed)),
-            stratified=bool(split_obj.get("stratified", split_default.stratified)),
-        ),
-        preprocessor=Preprocessor(
-            kind=pre_obj.get("kind", "none"),
-            fraction=(float(pre_obj["fraction"]) if "fraction" in pre_obj else None),
-            seed=int(pre_obj.get("seed", 0)),
-            outlier=outlier,
-        ),
-        classifier=ClassifierConfig(
-            kind=clf_obj.get("kind", "automlp"),
-            automlp=AutoMlpParams(
-                ensemble_size=int(auto_obj.get("ensemble_size", auto_default.ensemble_size)),
-                cycles_per_generation=int(
-                    auto_obj.get("cycles_per_generation", auto_default.cycles_per_generation)
-                ),
-                generations=int(auto_obj.get("generations", auto_default.generations)),
-                hidden_range=tuple(auto_obj.get("hidden_range", auto_default.hidden_range)),
-                lr_range=tuple(auto_obj.get("lr_range", auto_default.lr_range)),
-                seed=int(auto_obj.get("seed", auto_default.seed)),
-                warm_start=bool(auto_obj.get("warm_start", auto_default.warm_start)),
-            ),
-            knn_k=int(clf_obj.get("knn_k", 5)),
-            knn_measure=Measure.parse(clf_obj.get("knn_measure", "euclidean")),
-        ),
-        repeats=int(obj.get("repeats", 1)),
-        output_dir=obj.get("output_dir"),
-        evaluate_on_train=bool(obj.get("evaluate_on_train", False)),
-    )
+def config_from_json_obj(obj: dict, flags: Optional[Dict[str, object]] = None) -> ExperimentConfig:
+    """Validate a JSON config; defaults come from the section dataclasses.
+
+    ``flags`` maps dotted keys to values that replace the JSON's, as the
+    CLI's flags replace its config file's.
+    """
+    flags = flags or {}
+    raw = {"": obj}
+    for section in CONFIG_SECTIONS:
+        parent, _, name = section.rpartition(".")
+        if section:
+            raw[section] = raw[parent].get(name, {})
+        if not isinstance(raw[section], dict):
+            raise ConfigError(f"{name or 'config'} section must be a JSON object")
+        known = {key.rpartition(".")[2] for key in (*_FIELD_KEYS, *CONFIG_SECTIONS)
+                 if key and key.rpartition(".")[0] == section}
+        unknown = set(raw[section]) - known
+        if unknown:
+            raise ConfigError(
+                f"unknown {name or 'config'} option(s): {', '.join(sorted(unknown))}"
+            )
+    kwargs: Dict[str, dict] = {section: {} for section in CONFIG_SECTIONS}
+    for f in CONFIG_FIELDS:
+        section, _, name = f.key.rpartition(".")
+        if f.key in flags:
+            value = flags[f.key]
+        elif name in raw[section]:
+            value = raw[section][name]
+        else:
+            continue
+        try:
+            kwargs[section][f.attr] = f.convert(value) if f.convert else value
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{f.key}: {exc}") from None
+    for section in reversed(CONFIG_SECTIONS):
+        parent, _, name = section.rpartition(".")
+        config = CONFIG_SECTIONS[section](**kwargs[section])
+        if section:
+            kwargs[parent][name] = config
+    return config
 
 
-def load_config(path) -> ExperimentConfig:
+def read_config_json(path) -> dict:
+    """The JSON object in a config file, not yet validated as a config."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no such config file: {path}")
@@ -227,7 +257,11 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    return config_from_json_obj(obj)
+    return obj
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_json_obj(read_config_json(path))
 
 
 @dataclasses.dataclass
@@ -271,7 +305,7 @@ def prepare_training_data(
         return PreparedTraining(stratified_sample(train, pre.effective_fraction(), seed),
                                 validation, identity)
     if pre.kind == "ecodb":
-        report = ecodb_detect(train, pre.outlier_params())
+        report = ecodb_detect(train, pre.outlier)
         return PreparedTraining(remove_outliers(train, report), validation, identity,
                                 outliers=report)
     raise ConfigError(f"unknown preprocessor {pre.kind!r}")
@@ -630,11 +664,3 @@ def _write_atomic(path: Path, text: str) -> None:
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
-
-def _checked_keys(section: str, obj: dict, allowed: set) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{section} section must be a JSON object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {section} option(s): {', '.join(sorted(unknown))}")
-    return obj

@@ -115,16 +115,6 @@ def _sigmoid_scalar(z: float) -> float:
     return ez / (1.0 + ez)
 
 
-def forward(network: MlpNetwork, features: np.ndarray) -> float:
-    """P(class 1) for one instance, clipped away from exact 0 and 1."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape != (network.config.input_dim,):
-        raise ValueError(
-            f"expected {network.config.input_dim} features, got shape {features.shape}"
-        )
-    return float(forward_batch(network, features.reshape(1, -1))[0])
-
-
 def forward_batch(network: MlpNetwork, X: np.ndarray) -> np.ndarray:
     """P(class 1) for each row of X, clipped away from exact 0 and 1."""
     X = np.asarray(X, dtype=np.float64)
@@ -144,13 +134,6 @@ def evaluate_error(network: MlpNetwork, dataset: Dataset) -> float:
     return float(np.mean(preds != dataset.labels))
 
 
-def mean_log_loss(network: MlpNetwork, dataset: Dataset) -> float:
-    """Mean binary cross-entropy on a dataset."""
-    p = forward_batch(network, dataset.features)
-    y = dataset.labels.astype(np.float64)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
-
 def loss_gradients(
     network: MlpNetwork,
     X: np.ndarray,
@@ -158,22 +141,23 @@ def loss_gradients(
 ) -> Tuple[float, np.ndarray, np.ndarray]:
     """Summed cross-entropy loss and its gradients at the current weights.
 
-    Gradients are summed over the batch without applying any update; the
-    return is (loss, d_loss/d_w_ih, d_loss/d_w_ho).
+    Sums :func:`_instance_step`, the step that training applies, over the
+    rows without applying any update; the return is (loss, d_loss/d_w_ih,
+    d_loss/d_w_ho).
     """
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     Xb = np.hstack([X, np.ones((X.shape[0], 1))])
-    h = sigmoid(Xb @ network.w_ih.T)
-    hb = np.hstack([h, np.ones((X.shape[0], 1))])
-    p = sigmoid(hb @ network.w_ho)
-    p_safe = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
-    loss = float(-np.sum(y * np.log(p_safe) + (1.0 - y) * np.log(1.0 - p_safe)))
-    delta_out = p - y
-    g_ho = hb.T @ delta_out
-    delta_h = np.outer(delta_out, network.w_ho[:-1]) * h * (1.0 - h)
-    g_ih = delta_h.T @ Xb
-    return loss, g_ih, g_ho
+    loss = 0.0
+    g_ih = np.zeros_like(network.w_ih)
+    g_ho = np.zeros_like(network.w_ho)
+    for xb, target in zip(Xb, np.asarray(y, dtype=np.float64)):
+        p, delta_out, h, delta_h = _instance_step(network.w_ih, network.w_ho, xb, target)
+        p = min(max(p, PROB_CLIP), 1.0 - PROB_CLIP)
+        loss -= target * math.log(p) + (1.0 - target) * math.log(1.0 - p)
+        g_ho[:-1] += delta_out * h
+        g_ho[-1] += delta_out
+        g_ih += np.outer(delta_h, xb)
+    return float(loss), g_ih, g_ho
 
 
 def train_epoch(network: MlpNetwork, dataset: Dataset, shuffle_seed: int) -> MlpNetwork:
@@ -199,13 +183,26 @@ def train_epoch(network: MlpNetwork, dataset: Dataset, shuffle_seed: int) -> Mlp
     n_hidden = network.config.hidden_units
     for i in order:
         xb = Xb[i]
-        h = sigmoid(w_ih @ xb)
-        z_out = float(h @ w_ho[:n_hidden] + w_ho[n_hidden])
-        p = _sigmoid_scalar(min(max(z_out, -_EXP_LIMIT), _EXP_LIMIT))
-        delta_out = p - y[i]
-        delta_h = (delta_out * w_ho[:n_hidden]) * h * (1.0 - h)
+        _, delta_out, h, delta_h = _instance_step(w_ih, w_ho, xb, y[i])
         w_ho[:n_hidden] -= lr * delta_out * h
         w_ho[n_hidden] -= lr * delta_out
         w_ih -= lr * np.outer(delta_h, xb)
     network.epochs_trained += 1
     return network
+
+
+def _instance_step(w_ih: np.ndarray, w_ho: np.ndarray, xb: np.ndarray, y: float):
+    """Forward and backward pass for one instance ``xb`` (bias appended).
+
+    Returns (p, delta_out, h, delta_h): the unclipped output probability,
+    the output error p - y, the hidden activations and the hidden errors.
+    The loss gradients are delta_out * [h, 1] for ``w_ho`` and
+    outer(delta_h, xb) for ``w_ih``.
+    """
+    n_hidden = w_ho.shape[0] - 1
+    h = sigmoid(w_ih @ xb)
+    z_out = float(h @ w_ho[:n_hidden] + w_ho[n_hidden])
+    p = _sigmoid_scalar(min(max(z_out, -_EXP_LIMIT), _EXP_LIMIT))
+    delta_out = p - y
+    delta_h = (delta_out * w_ho[:n_hidden]) * h * (1.0 - h)
+    return p, delta_out, h, delta_h

@@ -19,7 +19,7 @@ implementation of the generators.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, TypeVar
+from typing import Iterable, List, TypeVar
 
 _MASK64 = (1 << 64) - 1
 
@@ -85,11 +85,6 @@ def fisher_yates(items: Iterable[T], seed: int) -> List[T]:
     return out
 
 
-def shuffled_order(n: int, seed: int) -> List[int]:
-    """Seeded permutation of range(n)."""
-    return fisher_yates(range(n), seed)
-
-
 def subseed(root: int, *tags: int) -> int:
     """Derive an independent 64-bit sub-seed from a root seed and role tags.
 
@@ -105,9 +100,3 @@ def subseed(root: int, *tags: int) -> int:
         x = next(stream)
     return x
 
-
-def derive_seeds(root: int, *tags: int, count: int = 1) -> Sequence[int]:
-    """``count`` consecutive sub-seeds for one (root, tags) stream."""
-    base = subseed(root, *tags)
-    stream = _splitmix64_stream(base)
-    return [next(stream) for _ in range(count)]

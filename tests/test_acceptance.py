@@ -21,13 +21,10 @@ from ecoamlp.baselines import Preprocessor
 from ecoamlp.class_outlier import (
     OutlierParams,
     _min_max,
+    codb_detect,
     cof,
-    deviation,
     ecodb_detect,
     ecof,
-    kdist,
-    knn,
-    pcl,
 )
 from ecoamlp.data import Dataset, DataSplit, SplitSpec
 from ecoamlp.distance import Measure
@@ -93,13 +90,18 @@ def test_component_formulas_match_direct_recomputation():
     points = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [3.0, 0.0]])
     ds = Dataset(numeric_schema(2), points, np.array([0, 0, 1, 0]), np.arange(4))
 
-    assert knn(ds, 0, k=2, measure=Measure.EUCLIDEAN) == [(1, 1.0), (3, 3.0)]
+    def components(k):
+        params = OutlierParams(k=k, n_outliers=len(ds), measure=Measure.EUCLIDEAN)
+        return {s.id: s for s in codb_detect(ds, params).ranked}[0]
+
+    # instance 0's 2 nearest neighbours are ids 1 and 3: 1 + 3
+    assert abs(components(2).kdist - (1.0 + 3.0)) <= 1e-12
     # 2 of instance 0's 3 nearest neighbours share its label
-    assert abs(pcl(ds, 0, k=3, measure=Measure.EUCLIDEAN) - 2 / 3) <= 1e-12
+    assert abs(components(3).pcl - 2 / 3) <= 1e-12
     # distances to same-class instances: 1 + 3
-    assert abs(deviation(ds, 0, Measure.EUCLIDEAN) - 4.0) <= 1e-12
+    assert abs(components(3).deviation - 4.0) <= 1e-12
     # distances to the 3 nearest: 1 + 3 + 10
-    assert abs(kdist(ds, 0, k=3, measure=Measure.EUCLIDEAN) - 14.0) <= 1e-12
+    assert abs(components(3).kdist - 14.0) <= 1e-12
 
     score, flagged = cof(3, 1.0, 2.0, 4.0, alpha=1.0, beta=1.0)
     assert abs(score - (3 * 1.0 + 1.0 / 2.0 + 1.0 * 4.0)) <= 1e-12

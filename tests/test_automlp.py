@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from ecoamlp.automlp import (
     fit_automlp,
     init_population,
     run_generation,
-    train_automlp,
 )
 from ecoamlp.errors import ConfigError
 from ecoamlp.mlp import MlpConfig, MlpNetwork, evaluate_error
@@ -207,12 +204,6 @@ class TestFitAutomlp:
         a = fit_automlp(train, validation, small_params(seed=0))
         b = fit_automlp(train, validation, small_params(seed=5))
         assert a.history != b.history
-
-    def test_train_automlp_reads_split_fields(self, train, validation):
-        split = SimpleNamespace(train=train, validation=validation, test=None)
-        via_split = train_automlp(split, small_params())
-        direct = fit_automlp(train, validation, small_params())
-        assert via_split.history == direct.history
 
     def test_empty_inputs_rejected(self, train):
         empty = train.take_rows(np.arange(0))

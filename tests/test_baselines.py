@@ -12,15 +12,12 @@ from ecoamlp.baselines import (
     NaiveBayesModel,
     Preprocessor,
     bootstrap_sample,
-    knn_classify,
     knn_predict,
-    naive_bayes_classify,
     naive_bayes_fit,
     naive_bayes_log_posteriors,
     naive_bayes_predict,
     stratified_sample,
     ztransform_fit,
-    ztransform_fit_apply,
 )
 from ecoamlp.data import Dataset
 from ecoamlp.distance import Measure
@@ -75,7 +72,8 @@ class TestZTransform:
         other = random_dataset(50, 3, seed=2)
         mean = train.features.mean(axis=0)
         std = train.features.std(axis=0)
-        got_train, [got_other] = ztransform_fit_apply(train, (other,))
+        zt = ztransform_fit(train)
+        got_train, got_other = zt.apply(train), zt.apply(other)
         assert np.allclose(got_other.features, (other.features - mean) / std,
                            atol=1e-12)
         assert np.allclose(got_train.features, (train.features - mean) / std,
@@ -209,19 +207,19 @@ class TestKnn:
     def test_majority_vote(self):
         features = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]])
         ds = Dataset(numeric_schema(2), features, np.array([1, 1, 0]), np.arange(3))
-        assert knn_classify(ds, np.array([0.5, 0.0]), k=3) == 1
+        assert knn_predict(ds, np.array([[0.5, 0.0]]), k=3).tolist() == [1]
 
     def test_even_tie_picks_class_zero(self):
         features = np.array([[0.0, 0.0], [1.0, 0.0]])
         ds = Dataset(numeric_schema(2), features, np.array([1, 0]), np.arange(2))
-        assert knn_classify(ds, np.array([0.5, 0.0]), k=2) == 0
+        assert knn_predict(ds, np.array([[0.5, 0.0]]), k=2).tolist() == [0]
 
     def test_distance_tie_resolves_by_id(self):
         # both neighbours are equidistant; the lower id (label 1) wins k=1
         features = np.array([[1.0, 0.0], [-1.0, 0.0]])
         ds = Dataset(numeric_schema(2), features, np.array([1, 0]),
                      np.array([2, 5]))
-        assert knn_classify(ds, np.array([0.0, 0.0]), k=1) == 1
+        assert knn_predict(ds, np.array([[0.0, 0.0]]), k=1).tolist() == [1]
 
     @pytest.mark.parametrize("measure,name", [
         (Measure.EUCLIDEAN, "euclidean"), (Measure.CORRELATION, "correlation"),
@@ -260,13 +258,15 @@ class TestNaiveBayes:
     def test_log_posteriors_match_scipy(self):
         ds = random_dataset(60, 3, seed=15)
         model = naive_bayes_fit(ds)
-        for q in random_dataset(5, 3, seed=16).features:
-            got = naive_bayes_log_posteriors(model, q)
+        queries = random_dataset(5, 3, seed=16).features
+        got = naive_bayes_log_posteriors(model, queries)
+        assert got.shape == (5, 2)
+        for q, post in zip(queries, got):
             for label in (0, 1):
                 want = model.class_log_prior[label] + scipy.stats.norm.logpdf(
                     q, loc=model.means[label],
                     scale=np.sqrt(model.variances[label])).sum()
-                assert got[label] == pytest.approx(want, rel=1e-9)
+                assert post[label] == pytest.approx(want, rel=1e-9)
 
     def test_separated_blobs_classified_perfectly(self):
         ds = random_dataset(80, 3, seed=17, separation=6.0)
@@ -280,7 +280,7 @@ class TestNaiveBayes:
             means=np.zeros((2, 2)),
             variances=np.ones((2, 2)),
         )
-        assert naive_bayes_classify(model, np.array([0.3, -0.7])) == 0
+        assert naive_bayes_predict(model, np.array([[0.3, -0.7]])).tolist() == [0]
 
     def test_variance_floor_applies_to_constant_features(self):
         features = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0], [4.0, 5.0]])
@@ -288,15 +288,17 @@ class TestNaiveBayes:
                      np.arange(4))
         model = naive_bayes_fit(ds)
         assert model.variances[0][1] == VARIANCE_FLOOR
-        post = naive_bayes_log_posteriors(model, np.array([1.0, 5.0]))
+        post = naive_bayes_log_posteriors(model, np.array([[1.0, 5.0]]))
         assert np.all(np.isfinite(post))
 
-    def test_predict_matches_classify(self):
+    def test_predict_matches_rowwise_posteriors(self):
         ds = random_dataset(40, 3, seed=18)
         model = naive_bayes_fit(ds)
         X = random_dataset(8, 3, seed=19).features
-        batch = naive_bayes_predict(model, X)
-        assert batch.tolist() == [naive_bayes_classify(model, x) for x in X]
+        post = naive_bayes_log_posteriors(model, X)
+        rows = [naive_bayes_log_posteriors(model, x[None, :])[0] for x in X]
+        assert np.array_equal(post, np.array(rows))
+        assert naive_bayes_predict(model, X).tolist() == [int(p[1] > p[0]) for p in rows]
 
     def test_errors(self):
         features = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
@@ -305,4 +307,6 @@ class TestNaiveBayes:
             naive_bayes_fit(ds)
         model = naive_bayes_fit(random_dataset(20, 2, seed=20))
         with pytest.raises(DataError):
-            naive_bayes_log_posteriors(model, np.array([1.0, 2.0, 3.0]))
+            naive_bayes_log_posteriors(model, np.array([[1.0, 2.0, 3.0]]))
+        with pytest.raises(DataError):
+            naive_bayes_log_posteriors(model, np.array([1.0, 2.0]))

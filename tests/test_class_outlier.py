@@ -11,13 +11,8 @@ from ecoamlp.class_outlier import (
     OutlierParams,
     cof,
     codb_detect,
-    codb_score,
-    deviation,
     ecodb_detect,
     ecof,
-    kdist,
-    knn,
-    pcl,
     remove_outliers,
     _min_max,
 )
@@ -36,65 +31,78 @@ def line_dataset(points, labels, ids=None):
     return Dataset(numeric_schema(2), features, np.asarray(labels), ids)
 
 
+def components(ds, k, measure=Measure.EUCLIDEAN):
+    """Every instance's reported components, keyed by id."""
+    report = codb_detect(ds, OutlierParams(k=k, n_outliers=len(ds), measure=measure))
+    return {s.id: s for s in report.ranked}
+
+
 class TestComponents:
     def test_knn_simple_geometry(self):
         ds = line_dataset([0.0, 1.0, 10.0], [0, 0, 1])
-        assert knn(ds, 0, k=2, measure=Measure.EUCLIDEAN) == [(1, 1.0), (2, 10.0)]
+        # neighbours of 0 at k=2: id 1 (same label, 1.0) and id 2 (other label, 10.0)
+        c = components(ds, 2)[0]
+        assert c.pcl == 0.5
+        assert c.kdist == 11.0
 
     def test_knn_excludes_query_and_breaks_ties_by_id(self):
-        ds = line_dataset([0.0, 0.0, 0.0, 5.0], [0, 0, 1, 1], ids=[7, 3, 9, 1])
-        neighbours = knn(ds, 7, k=3, measure=Measure.EUCLIDEAN)
-        assert neighbours == [(3, 0.0), (9, 0.0), (1, 5.0)]
+        # ids 7, 9 and 3 share a point; row order would pick 9, id order picks 3
+        ds = line_dataset([0.0, 0.0, 0.0, 5.0], [0, 0, 1, 1], ids=[7, 9, 3, 1])
+        assert components(ds, 1)[7].pcl == 0.0
+        assert components(ds, 2)[7].pcl == 0.5
+        # with itself excluded, the third neighbour of 7 is id 1 at 5.0
+        assert components(ds, 3)[7].kdist == 5.0
 
     def test_knn_matches_oracle_on_random_data(self):
         ds = random_dataset(100, 5, seed=0)
+        got = components(ds, 5)
         for qid in [0, 13, 57, 99]:
-            got = knn(ds, qid, k=5, measure=Measure.EUCLIDEAN)
             want = oracles.knn(ds, qid, 5, "euclidean")
-            assert [i for i, _ in got] == [i for i, _ in want]
-            for (_, d1), (_, d2) in zip(got, want):
-                assert d1 == pytest.approx(d2, abs=1e-9)
+            same = sum(ds.labels[ds.row_of(i)] == ds.labels[ds.row_of(qid)] for i, _ in want)
+            assert got[qid].pcl == pytest.approx(same / 5, abs=1e-12)
+            assert got[qid].kdist == pytest.approx(sum(d for _, d in want), abs=1e-9)
 
     def test_knn_k_bounds(self):
         ds = line_dataset([0.0, 1.0, 2.0], [0, 0, 1])
         with pytest.raises(ConfigError):
-            knn(ds, 0, k=3, measure=Measure.EUCLIDEAN)
+            components(ds, 3)
         with pytest.raises(ConfigError):
-            knn(ds, 0, k=0, measure=Measure.EUCLIDEAN)
+            components(ds, 0)
 
     def test_pcl_counts_matching_labels(self):
         ds = line_dataset([0.0, 1.0, 2.0, 3.0], [0, 0, 0, 1])
-        assert pcl(ds, 0, k=3, measure=Measure.EUCLIDEAN) == pytest.approx(2 / 3)
+        assert components(ds, 3)[0].pcl == pytest.approx(2 / 3)
 
     def test_pcl_all_same_class_is_one(self):
         ds = line_dataset([0.0, 1.0, 2.0, 9.0], [0, 0, 0, 0])
-        assert pcl(ds, 1, k=3, measure=Measure.EUCLIDEAN) == 1.0
+        assert components(ds, 3)[1].pcl == 1.0
 
     def test_deviation_sums_same_class_distances(self):
         ds = line_dataset([0.0, 1.0, 3.0, 100.0], [0, 0, 0, 1])
-        assert deviation(ds, 0, Measure.EUCLIDEAN) == pytest.approx(4.0, abs=1e-12)
+        assert components(ds, 1)[0].deviation == pytest.approx(4.0, abs=1e-12)
 
     def test_deviation_of_class_singleton_is_zero(self):
         ds = line_dataset([0.0, 1.0, 3.0], [1, 0, 0])
-        assert deviation(ds, 0, Measure.EUCLIDEAN) == 0.0
+        assert components(ds, 1)[0].deviation == 0.0
 
     def test_kdist_sums_neighbour_distances(self):
         ds = line_dataset([0.0, 1.0, 10.0], [0, 0, 1])
-        assert kdist(ds, 0, k=2, measure=Measure.EUCLIDEAN) == pytest.approx(11.0, abs=1e-12)
+        assert components(ds, 2)[0].kdist == pytest.approx(11.0, abs=1e-12)
 
     def test_kdist_zero_for_duplicates(self):
         ds = line_dataset([2.0, 2.0, 2.0, 9.0], [0, 0, 0, 1])
-        assert kdist(ds, 0, k=2, measure=Measure.EUCLIDEAN) == 0.0
+        assert components(ds, 2)[0].kdist == 0.0
 
     def test_components_match_oracle(self):
         ds = random_dataset(40, 4, seed=1)
-        for qid in [2, 17, 39]:
-            for measure, name in [(Measure.EUCLIDEAN, "euclidean"),
-                                  (Measure.CORRELATION, "correlation")]:
+        for measure, name in [(Measure.EUCLIDEAN, "euclidean"),
+                              (Measure.CORRELATION, "correlation")]:
+            got = components(ds, 7, measure)
+            for qid in [2, 17, 39]:
                 o_pcl, o_dev, o_kd = oracles.components(ds, qid, 7, name)
-                assert pcl(ds, qid, 7, measure) == pytest.approx(o_pcl, abs=1e-12)
-                assert deviation(ds, qid, measure) == pytest.approx(o_dev, abs=1e-9)
-                assert kdist(ds, qid, 7, measure) == pytest.approx(o_kd, abs=1e-9)
+                assert got[qid].pcl == pytest.approx(o_pcl, abs=1e-12)
+                assert got[qid].deviation == pytest.approx(o_dev, abs=1e-9)
+                assert got[qid].kdist == pytest.approx(o_kd, abs=1e-9)
 
 
 class TestScoreFormulas:
@@ -123,15 +131,11 @@ class TestScoreFormulas:
 
     def test_codb_score_composes_components(self):
         ds = random_dataset(30, 3, seed=2)
-        params = OutlierParams(k=4, n_outliers=5, measure=Measure.EUCLIDEAN,
+        params = OutlierParams(k=4, n_outliers=30, measure=Measure.EUCLIDEAN,
                                alpha=10.0, beta=0.5)
-        for qid in [0, 11, 29]:
-            expected = (
-                4 * pcl(ds, qid, 4, params.measure)
-                + 10.0 / deviation(ds, qid, params.measure)
-                + 0.5 * kdist(ds, qid, 4, params.measure)
-            )
-            assert codb_score(ds, qid, params) == pytest.approx(expected, abs=1e-12)
+        for s in codb_detect(ds, params).ranked:
+            expected = 4 * s.pcl + 10.0 / s.deviation + 0.5 * s.kdist
+            assert s.score == pytest.approx(expected, abs=1e-12)
 
 
 class TestEcodbDetect:

@@ -109,6 +109,10 @@ class TestConfig:
             config_from_json_obj({"classifier": {"kind": "svm"}})
         with pytest.raises(ConfigError):
             config_from_json_obj({"classifier": {"knn_measure": "cosine"}})
+        with pytest.raises(ConfigError, match="repeats"):
+            config_from_json_obj({"repeats": "ten"})
+        with pytest.raises(ConfigError, match="split.seed"):
+            config_from_json_obj({"split": {"seed": None}})
 
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="no such config"):

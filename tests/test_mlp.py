@@ -15,11 +15,9 @@ from ecoamlp.mlp import (
     MlpConfig,
     MlpNetwork,
     evaluate_error,
-    forward,
     forward_batch,
     init_network,
     loss_gradients,
-    mean_log_loss,
     network_from_json,
     predict,
     sigmoid,
@@ -35,6 +33,10 @@ def tiny_network():
     w_ih = np.array([[0.5, -0.25, 0.1], [0.3, 0.2, -0.4]])
     w_ho = np.array([0.7, -0.6, 0.2])
     return MlpNetwork(config, w_ih.copy(), w_ho.copy())
+
+
+def mean_loss(net, ds):
+    return loss_gradients(net, ds.features, ds.labels)[0] / len(ds)
 
 
 def scalar_sigmoid(z):
@@ -78,14 +80,14 @@ class TestForward:
         h1 = scalar_sigmoid(0.5 * 1.0 - 0.25 * 2.0 + 0.1)
         h2 = scalar_sigmoid(0.3 * 1.0 + 0.2 * 2.0 - 0.4)
         expected = scalar_sigmoid(0.7 * h1 - 0.6 * h2 + 0.2)
-        assert forward(net, np.array(x)) == pytest.approx(expected, abs=1e-12)
+        assert forward_batch(net, np.array([x]))[0] == pytest.approx(expected, abs=1e-12)
 
     def test_batch_matches_single(self):
         net = init_network(MlpConfig(3, 4, 0.1, weight_init_seed=5))
         X = np.random.default_rng(0).normal(size=(10, 3))
         batch = forward_batch(net, X)
         for row, p in zip(X, batch):
-            assert forward(net, row) == p
+            assert forward_batch(net, row[None, :])[0] == p
 
     def test_all_zero_weights_give_half(self):
         config = MlpConfig(input_dim=3, hidden_units=2, learning_rate=0.1)
@@ -105,15 +107,15 @@ class TestForward:
     def test_saturated_outputs_are_clipped(self):
         config = MlpConfig(input_dim=1, hidden_units=1, learning_rate=0.1)
         net = MlpNetwork(config, np.array([[400.0, 400.0]]), np.array([2000.0, 2000.0]))
-        p = forward(net, np.array([1.0]))
+        p = forward_batch(net, np.array([[1.0]]))[0]
         assert p == 1.0 - PROB_CLIP
-        ds = Dataset(numeric_schema(1), np.array([[1.0]]), np.array([0]), np.arange(1))
-        assert math.isfinite(mean_log_loss(net, ds))
+        loss, _, _ = loss_gradients(net, np.array([[1.0]]), np.array([0]))
+        assert math.isfinite(loss)
 
     def test_shape_validation(self):
         net = tiny_network()
         with pytest.raises(ValueError):
-            forward(net, np.array([1.0, 2.0, 3.0]))
+            forward_batch(net, np.array([[1.0, 2.0, 3.0]]))
 
     def test_sigmoid_extremes(self):
         assert sigmoid(np.float64(0.0)) == 0.5
@@ -192,17 +194,17 @@ class TestTraining:
     def test_step_direction_reduces_single_instance_loss(self):
         net = tiny_network()
         ds = self.one_row_dataset([1.0, 2.0], 1)
-        before = mean_log_loss(net, ds)
+        before = mean_loss(net, ds)
         train_epoch(net, ds, shuffle_seed=0)
-        assert mean_log_loss(net, ds) < before
+        assert mean_loss(net, ds) < before
 
     def test_training_reduces_loss_on_separable_data(self):
         ds = separable_dataset(60, 3, seed=5)
         net = init_network(MlpConfig(3, 6, 0.3, weight_init_seed=10))
-        start = mean_log_loss(net, ds)
+        start = mean_loss(net, ds)
         for epoch in range(30):
             train_epoch(net, ds, shuffle_seed=epoch)
-        assert mean_log_loss(net, ds) < start
+        assert mean_loss(net, ds) < start
         assert evaluate_error(net, ds) <= 0.1
 
     def test_epoch_determinism(self):

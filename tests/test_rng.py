@@ -13,9 +13,7 @@ import pytest
 from ecoamlp.rng import (
     Xoshiro256StarStar,
     _splitmix64_stream,
-    derive_seeds,
     fisher_yates,
-    shuffled_order,
     subseed,
 )
 
@@ -141,10 +139,6 @@ def test_fisher_yates_leaves_input_untouched():
     assert items == list(range(10))
 
 
-def test_shuffled_order_equals_fisher_yates_on_range():
-    assert shuffled_order(10, 7) == FY10_GOLDEN[7]
-
-
 def test_randbelow_is_in_range():
     gen = Xoshiro256StarStar(5)
     values = [gen.randbelow(7) for _ in range(200)]
@@ -165,9 +159,3 @@ def test_subseed_determinism_and_tag_sensitivity():
     assert len(distinct) == 6
     assert all(0 <= s < 2**64 for s in distinct)
 
-
-def test_derive_seeds_shape_and_determinism():
-    seeds = derive_seeds(9, 1, 4, count=5)
-    assert len(seeds) == 5
-    assert seeds == derive_seeds(9, 1, 4, count=5)
-    assert len(set(seeds)) == 5
