@@ -663,4 +663,3 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
-

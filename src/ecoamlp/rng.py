@@ -99,4 +99,3 @@ def subseed(root: int, *tags: int) -> int:
         stream = _splitmix64_stream(x ^ ((tag * 0x9E3779B97F4A7C15 + 1) & _MASK64))
         x = next(stream)
     return x
-

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import tempfile
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -126,8 +127,15 @@ def test_json_round_trip(config):
 @given(configs)
 def test_flags_parse_to_the_json_config(config):
     obj = config_to_json_obj(config)
-    args = cli._build_parser().parse_args(["run", *argv_for(obj)])
-    assert cli._experiment_config(args) == config_from_json_obj(obj)
+    expected = config_from_json_obj(obj)
+    parser = cli._build_parser()
+    assert cli._experiment_config(parser.parse_args(["run", *argv_for(obj)])) == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(obj))
+        # flags left out must not override the file
+        args = parser.parse_args(["run", "--config", str(path)])
+        assert cli._experiment_config(args) == expected
 
 
 def test_readme_default_config_block():

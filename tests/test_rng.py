@@ -158,4 +158,3 @@ def test_subseed_determinism_and_tag_sensitivity():
     }
     assert len(distinct) == 6
     assert all(0 <= s < 2**64 for s in distinct)
-
