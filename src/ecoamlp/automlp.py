@@ -13,6 +13,13 @@ child whose width matches its parent copies the parent's weights instead.
 Every random draw comes from a sub-seed derived from the run seed plus
 structural tags (generation, slot, cycle), so runs are reproducible and
 insensitive to incidental iteration order.
+
+The members train in lockstep: each cycle is one
+:func:`~ecoamlp.mlp.train_epochs` call over the whole population, with
+member ``slot`` shuffled by its own (generation, slot, cycle) seed. The
+lockstep step keeps every sum inside one network, so a member's weights
+are the same as if it had trained alone, and the search is the same
+search done in one Python loop instead of ``ensemble_size``.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ import numpy as np
 
 from .data import Dataset, round_half_up
 from .errors import ConfigError
-from .mlp import MlpConfig, MlpNetwork, evaluate_error, init_network, train_epoch
+from .mlp import MlpConfig, MlpNetwork, evaluate_error, init_network, train_epochs
+from .mlp import train_epoch  # noqa: F401 - perfbench/run.py traces automlp.train_epoch
 from .rng import subseed
 
 _ROLE_HP_INIT = 1
@@ -134,9 +142,10 @@ def run_generation(
     """Train, evaluate, record, and replace the losing half in place."""
     params = population.params if params is None else params
     gen = population.generation
-    for slot, net in enumerate(population.members):
-        for cycle in range(params.cycles_per_generation):
-            train_epoch(net, train, subseed(params.seed, _ROLE_SHUFFLE, gen, slot, cycle))
+    for cycle in range(params.cycles_per_generation):
+        seeds = [subseed(params.seed, _ROLE_SHUFFLE, gen, slot, cycle)
+                 for slot in range(len(population.members))]
+        train_epochs(population.members, train, seeds)
     errors = [evaluate_error(net, validation) for net in population.members]
     ranking = sorted(range(params.ensemble_size), key=lambda s: (errors[s], s))
     n_replace = params.ensemble_size // 2

@@ -16,6 +16,7 @@ configuration, 2 bad data, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import List, Optional
@@ -28,6 +29,7 @@ from .harness import (
     ConfigField,
     ExperimentConfig,
     config_from_json_obj,
+    json_bool,
     load_dataset,
     read_config_json,
     run_experiment,
@@ -109,7 +111,7 @@ def _add_flag(parser: argparse.ArgumentParser, key: str, flag: Optional[str] = N
     f = _FIELDS[key]
     if f.convert in (int, float):
         options["type"] = f.convert
-    elif f.convert is bool:
+    elif f.convert is json_bool:
         options.update(action="store_true", default=None)
     parser.add_argument(flag or f.flag, dest=_dest(f), **f.options, **options)
 
@@ -133,7 +135,9 @@ def _experiment_config(args) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _experiment_config(args)
-    report = run_experiment(config)
+    # the harness would write the files as well; they are written once, below
+    report = run_experiment(dataclasses.replace(config, output_dir=None))
+    report = dataclasses.replace(report, config=config)
     print(report.to_text(), end="")
     if config.output_dir:
         json_path, text_path = write_run_report(report, config.output_dir)
@@ -144,7 +148,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _experiment_config(args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    report = run_sweep(config, args.axis, variants)
+    report = run_sweep(dataclasses.replace(config, output_dir=None), args.axis, variants)
     print(report.to_text(), end="")
     if config.output_dir:
         json_path, text_path = write_sweep_report(report, config.output_dir)

@@ -107,12 +107,19 @@ class ExperimentConfig:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
 
 
+def json_bool(value) -> bool:
+    """A JSON true or false; a string, number or null is refused, not cast."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {json.dumps(value)}")
+    return value
+
+
 class ConfigField(NamedTuple):
     """One experiment setting: its JSON key, dataclass attribute and CLI flag.
 
     ``convert`` turns a JSON (or flag) value into the attribute's value and
     is None for strings kept as they are; int and float also type the flag
-    and bool makes it a switch. ``options`` are extra argparse options.
+    and :func:`json_bool` makes it a switch. ``options`` are extra argparse options.
     ``read`` gives the JSON value when it is not the attribute itself.
     """
 
@@ -148,7 +155,7 @@ CONFIG_FIELDS = (
     ConfigField("split.validation", "validation_fraction", "--validation-fraction", float),
     ConfigField("split.test", "test_fraction", "--test-fraction", float),
     ConfigField("split.seed", "seed", "--split-seed", int),
-    ConfigField("split.stratified", "stratified", "--stratified", bool),
+    ConfigField("split.stratified", "stratified", "--stratified", json_bool),
     ConfigField("preprocessor.kind", "kind", "--preprocessor",
                 options={"choices": PREPROCESSOR_KINDS}),
     ConfigField("preprocessor.fraction", "fraction", "--fraction", float,
@@ -172,7 +179,7 @@ CONFIG_FIELDS = (
     ConfigField("classifier.automlp.lr_range", "lr_range", "--lr-range", tuple,
                 {"type": float, **_RANGE}),
     ConfigField("classifier.automlp.seed", "seed", "--automlp-seed", int),
-    ConfigField("classifier.automlp.warm_start", "warm_start", "--warm-start", bool,
+    ConfigField("classifier.automlp.warm_start", "warm_start", "--warm-start", json_bool,
                 {"help": "offspring with unchanged width inherit parent weights"}),
     ConfigField("classifier.knn_k", "knn_k", "--knn-k", int),
     ConfigField("classifier.knn_measure", "knn_measure", "--knn-measure",
@@ -180,7 +187,7 @@ CONFIG_FIELDS = (
     ConfigField("repeats", "repeats", "--repeats", int),
     ConfigField("output_dir", "output_dir", "--output",
                 options={"metavar": "DIR", "help": "write report.json/report.txt here"}),
-    ConfigField("evaluate_on_train", "evaluate_on_train", "--evaluate-on-train", bool,
+    ConfigField("evaluate_on_train", "evaluate_on_train", "--evaluate-on-train", json_bool,
                 {"help": "score the training set instead of the test set"}),
 )
 """The experiment config's only field list, in JSON key order."""

@@ -9,13 +9,24 @@ stored as two dense arrays with the bias folded in as a trailing column
 Initial weights are uniform in +/- 1/sqrt(fan_in) where fan_in counts the
 bias, drawn from a seeded generator so identical configs always yield
 identical networks.
+
+Training runs several networks in lockstep (:func:`train_epochs`): step t
+of an epoch applies, to every network at once, the t-th row of that
+network's own shuffle. The networks' hidden units are laid end to end on
+one axis (:class:`_FlatLayers`), so networks of different widths share
+arrays with no padding or masks. No step uses BLAS: a hidden unit's input
+is a numpy sum over its own row of weights, and a network's output is a
+``reduceat`` sum over its own units. No sum crosses networks, so a
+network trained with others ends bit for bit as it would alone;
+:func:`train_epoch` is the one-network case, and :func:`loss_gradients`
+sums the same step without applying it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -96,23 +107,15 @@ def init_network(config: MlpConfig) -> MlpNetwork:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, elementwise."""
-    z = np.clip(np.asarray(z, dtype=np.float64), -_EXP_LIMIT, _EXP_LIMIT)
-    if z.ndim == 0:
-        return np.float64(_sigmoid_scalar(float(z)))
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Numerically stable logistic function, elementwise.
 
-
-def _sigmoid_scalar(z: float) -> float:
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
+    ``e = exp(-|z|)`` cannot overflow (its exponent is floored at -500);
+    1 / (1 + e) for z >= 0 and e / (1 + e) below are both exact forms of
+    the logistic function.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(np.maximum(-np.abs(z), -_EXP_LIMIT))
+    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def forward_batch(network: MlpNetwork, X: np.ndarray) -> np.ndarray:
@@ -141,68 +144,115 @@ def loss_gradients(
 ) -> Tuple[float, np.ndarray, np.ndarray]:
     """Summed cross-entropy loss and its gradients at the current weights.
 
-    Sums :func:`_instance_step`, the step that training applies, over the
-    rows without applying any update; the return is (loss, d_loss/d_w_ih,
-    d_loss/d_w_ho).
+    Sums :meth:`_FlatLayers.step`, the step that training applies, over
+    the rows without applying any update; the return is (loss,
+    d_loss/d_w_ih, d_loss/d_w_ho).
     """
     X = np.asarray(X, dtype=np.float64)
     Xb = np.hstack([X, np.ones((X.shape[0], 1))])
+    layers = _FlatLayers([network])
     loss = 0.0
     g_ih = np.zeros_like(network.w_ih)
     g_ho = np.zeros_like(network.w_ho)
     for xb, target in zip(Xb, np.asarray(y, dtype=np.float64)):
-        p, delta_out, h, delta_h = _instance_step(network.w_ih, network.w_ho, xb, target)
-        p = min(max(p, PROB_CLIP), 1.0 - PROB_CLIP)
+        p, delta_out, _, h, delta_h = layers.step(xb[None, :], target)
+        p = min(max(float(p[0]), PROB_CLIP), 1.0 - PROB_CLIP)
         loss -= target * math.log(p) + (1.0 - target) * math.log(1.0 - p)
-        g_ho[:-1] += delta_out * h
-        g_ho[-1] += delta_out
+        g_ho[:-1] += delta_out[0] * h
+        g_ho[-1] += delta_out[0]
         g_ih += np.outer(delta_h, xb)
     return float(loss), g_ih, g_ho
 
 
 def train_epoch(network: MlpNetwork, dataset: Dataset, shuffle_seed: int) -> MlpNetwork:
-    """One pass of per-instance gradient descent over a shuffled dataset.
-
-    Updates the network in place (and returns it). The visit order is
-    drawn from ``shuffle_seed`` alone, so repeat calls with the same seed
-    and starting weights are identical.
-    """
-    if len(dataset) == 0:
-        raise ValueError("cannot train on an empty dataset")
-    if dataset.n_features != network.config.input_dim:
-        raise ValueError(
-            f"dataset has {dataset.n_features} features, network expects "
-            f"{network.config.input_dim}"
-        )
-    order = np.random.default_rng(shuffle_seed).permutation(len(dataset))
-    Xb = np.hstack([dataset.features, np.ones((len(dataset), 1))])
-    y = dataset.labels.astype(np.float64)
-    lr = network.config.learning_rate
-    w_ih = network.w_ih
-    w_ho = network.w_ho
-    n_hidden = network.config.hidden_units
-    for i in order:
-        xb = Xb[i]
-        _, delta_out, h, delta_h = _instance_step(w_ih, w_ho, xb, y[i])
-        w_ho[:n_hidden] -= lr * delta_out * h
-        w_ho[n_hidden] -= lr * delta_out
-        w_ih -= lr * np.outer(delta_h, xb)
-    network.epochs_trained += 1
+    """One epoch of one network, in place: :func:`train_epochs` with one member."""
+    train_epochs([network], dataset, [shuffle_seed])
     return network
 
 
-def _instance_step(w_ih: np.ndarray, w_ho: np.ndarray, xb: np.ndarray, y: float):
-    """Forward and backward pass for one instance ``xb`` (bias appended).
+def train_epochs(
+    networks: Sequence[MlpNetwork],
+    dataset: Dataset,
+    shuffle_seeds: Sequence[int],
+) -> None:
+    """One pass of per-instance gradient descent for every network, in lockstep.
 
-    Returns (p, delta_out, h, delta_h): the unclipped output probability,
-    the output error p - y, the hidden activations and the hidden errors.
-    The loss gradients are delta_out * [h, 1] for ``w_ho`` and
-    outer(delta_h, xb) for ``w_ih``.
+    Updates each network in place. Network m visits the rows in the order
+    ``default_rng(shuffle_seeds[m]).permutation(n)``; step t applies every
+    network's t-th row at once. The networks share no sums, so each ends
+    exactly as if it had been trained alone.
     """
-    n_hidden = w_ho.shape[0] - 1
-    h = sigmoid(w_ih @ xb)
-    z_out = float(h @ w_ho[:n_hidden] + w_ho[n_hidden])
-    p = _sigmoid_scalar(min(max(z_out, -_EXP_LIMIT), _EXP_LIMIT))
-    delta_out = p - y
-    delta_h = (delta_out * w_ho[:n_hidden]) * h * (1.0 - h)
-    return p, delta_out, h, delta_h
+    if len(dataset) == 0:
+        raise ValueError("cannot train on an empty dataset")
+    if len(shuffle_seeds) != len(networks):
+        raise ValueError(f"{len(networks)} networks need as many shuffle seeds, "
+                         f"got {len(shuffle_seeds)}")
+    for network in networks:
+        if dataset.n_features != network.config.input_dim:
+            raise ValueError(
+                f"dataset has {dataset.n_features} features, network expects "
+                f"{network.config.input_dim}"
+            )
+    n = len(dataset)
+    orders = np.array([np.random.default_rng(seed).permutation(n) for seed in shuffle_seeds]).T
+    Xb = np.hstack([dataset.features, np.ones((n, 1))])
+    targets = dataset.labels.astype(np.float64)[orders]
+    layers = _FlatLayers(networks)
+    lr_net = np.array([net.config.learning_rate for net in networks])
+    lr_unit = lr_net[layers.owner]
+    lr_col = lr_unit[:, None]
+    for t in range(n):
+        # row t of orders holds each network's instance for this step
+        x = Xb.take(orders[t].take(layers.owner), axis=0)
+        _, delta_out, delta_unit, h, delta_h = layers.step(x, targets[t])
+        layers.w_out -= lr_unit * delta_unit * h
+        layers.bias -= lr_net * delta_out
+        layers.W -= lr_col * (delta_h[:, None] * x)
+    layers.write_back(networks)
+    for network in networks:
+        network.epochs_trained += 1
+
+
+class _FlatLayers:
+    """The hidden units of several networks concatenated on one axis.
+
+    With U the summed width and M networks: ``W`` (U, d+1) holds the
+    hidden weights with the bias last, ``w_out`` (U,) the output weights,
+    ``bias`` (M,) the output biases, ``owner`` (U,) each unit's network
+    and ``starts`` (M,) each network's first unit. Every sum is taken over
+    one unit's inputs or one network's units, never across networks, so
+    a network's numbers do not depend on which others share the arrays.
+    """
+
+    def __init__(self, networks: Sequence[MlpNetwork]) -> None:
+        widths = [net.config.hidden_units for net in networks]
+        self.owner = np.repeat(np.arange(len(networks)), widths)
+        self.starts = np.cumsum([0] + widths[:-1])
+        self.W = np.concatenate([net.w_ih for net in networks])
+        self.w_out = np.concatenate([net.w_ho[:-1] for net in networks])
+        self.bias = np.array([net.w_ho[-1] for net in networks])
+
+    def step(self, x: np.ndarray, y):
+        """Forward and backward pass of each network on its own instance.
+
+        ``x`` (U, d+1) holds, per unit, its network's instance with the
+        bias input appended; ``y`` (M,) the targets. Returns (p, delta_out,
+        delta_unit, h, delta_h): per network the unclipped output
+        probability and the output error p - y, per unit its network's
+        output error, its activation and its hidden error. The loss
+        gradients are delta_out * [h, 1] for a network's output weights
+        and outer(delta_h, x) for its hidden weights.
+        """
+        h = sigmoid(np.add.reduce(self.W * x, axis=1))
+        p = sigmoid(np.add.reduceat(h * self.w_out, self.starts) + self.bias)
+        delta_out = p - y
+        delta_unit = delta_out.take(self.owner)
+        delta_h = (delta_unit * self.w_out) * h * (1.0 - h)
+        return p, delta_out, delta_unit, h, delta_h
+
+    def write_back(self, networks: Sequence[MlpNetwork]) -> None:
+        for m, (network, start) in enumerate(zip(networks, self.starts)):
+            stop = start + network.config.hidden_units
+            network.w_ih[...] = self.W[start:stop]
+            network.w_ho[:-1] = self.w_out[start:stop]
+            network.w_ho[-1] = self.bias[m]

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 import ecoamlp.cli
+import ecoamlp.harness as harness
 from ecoamlp.cli import main
-from ecoamlp.harness import config_to_json_obj, ExperimentConfig
+from ecoamlp.harness import config_from_json_obj, config_to_json_obj, ExperimentConfig
 
 from synth import random_dataset, write_csv
 
@@ -79,6 +81,55 @@ class TestRun:
         assert code == 0
         report = json.loads((out_dir / "report.json").read_text())
         assert report["config"]["drop_features"] == ["f1"]
+
+
+@pytest.fixture()
+def written(monkeypatch):
+    """Names of the report files written, one entry per write."""
+    names = []
+    original = harness._write_atomic
+
+    def record(path, text):
+        names.append(path.name)
+        return original(path, text)
+
+    monkeypatch.setattr(harness, "_write_atomic", record)
+    return names
+
+
+class TestReportFilesWrittenOnce:
+    def test_run(self, data_csv, capsys, tmp_path, written):
+        out_dir = tmp_path / "run"
+        code, _, _ = run_cli(capsys, "run", "--data", data_csv, "--classifier", "knn",
+                             "--output", str(out_dir))
+        assert code == 0
+        assert written == ["report.json", "report.txt"]
+        # the files hold what the harness itself writes for this config
+        obj = json.loads((out_dir / "report.json").read_text())
+        config = config_from_json_obj(obj["config"])
+        assert config.output_dir == str(out_dir)
+        report = harness.run_experiment(dataclasses.replace(config, output_dir=None))
+        report = dataclasses.replace(report, config=config, created_at=obj["created_at"])
+        assert_same_files(out_dir, harness.write_run_report(report, tmp_path / "expected"))
+
+    def test_sweep(self, data_csv, capsys, tmp_path, written):
+        out_dir = tmp_path / "sweep"
+        code, _, _ = run_cli(capsys, "sweep", "--data", data_csv, "--classifier", "knn",
+                             "--axis", "classifier", "--variants", "knn,nb",
+                             "--output", str(out_dir))
+        assert code == 0
+        assert written == ["sweep.json", "sweep.txt"]
+        obj = json.loads((out_dir / "sweep.json").read_text())
+        config = ExperimentConfig(data_path=data_csv,
+                                  classifier=harness.ClassifierConfig(kind="knn"))
+        report = harness.run_sweep(config, "classifier", ["knn", "nb"])
+        report = dataclasses.replace(report, created_at=obj["created_at"])
+        assert_same_files(out_dir, harness.write_sweep_report(report, tmp_path / "expected"))
+
+
+def assert_same_files(out_dir, expected_paths):
+    for path in expected_paths:
+        assert (out_dir / path.name).read_bytes() == path.read_bytes()
 
 
 class TestExitCodes:

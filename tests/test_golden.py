@@ -38,12 +38,16 @@ def _array_digest(*arrays: np.ndarray) -> str:
     return h.hexdigest()
 
 
+# (winner weights, winner slot and history). Training sums with numpy
+# reductions, not BLAS (mlp.train_epochs); that choice moved these winners'
+# weights by at most 9e-16 and left their histories as they were. The
+# 20-seed comparison behind the re-pin is in CHANGES.md.
 AUTOMLP_GOLDEN = {
-    0: ("8e71a8f66a513d6bdbc9c426f033ff4bb250643c548218108df4ec1f64a5c0c8",
+    0: ("1c70617af2534429a1d5b4b776fc57f17b4035fa102bad1e8aa2a46e4de064ab",
         "423044a1eb959cfbcc338d09a525a9df3d7aa299deda86ac02e6dd6d894e9897"),
-    1: ("6293d267ff6630d308b6851e58536e54c1e0ac8fd5dd1ed62654bcb8ef74eb9a",
+    1: ("6e7fc5b93e1fbaa0d2710cc45054677caef923809a83b545f9f81f27d4a65e4b",
         "818f270ce96afae31f3fbb2b5faffa092df70fccd9bcf1e7306c1f8fa5ed931b"),
-    7: ("9f4c26796c1398ab8763743e723aa19dffb603d7a3f1450b548bd4de92ee40c8",
+    7: ("7acc52f91470a5d26fcde613d03debd5b3f70fb920f99fe665fe31f6f0fcdc24",
         "8a9f6ad2f57fc07927cea0895ab9f1f8a89ad8df7e11833dc4e021b8308e26d8"),
 }
 

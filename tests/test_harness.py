@@ -114,6 +114,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="split.seed"):
             config_from_json_obj({"split": {"seed": None}})
 
+    @pytest.mark.parametrize("key", ["split.stratified", "classifier.automlp.warm_start",
+                                     "evaluate_on_train"])
+    @pytest.mark.parametrize("value", ["false", 1, None])
+    def test_switches_take_only_json_booleans(self, key, value):
+        *sections, name = key.split(".")
+        obj = section = {}
+        for part in sections:
+            section = section.setdefault(part, {})
+        section[name] = value
+        with pytest.raises(ConfigError, match=f"^{key}: expected true or false"):
+            config_from_json_obj(obj)
+        section[name] = False
+        assert config_from_json_obj(obj) == config_from_json_obj({})
+
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="no such config"):
             load_config(tmp_path / "missing.json")

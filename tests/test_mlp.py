@@ -1,4 +1,5 @@
-"""Network forward pass, gradients, and the per-instance training step."""
+"""Network forward pass, gradients, and the per-instance training step,
+alone and in lockstep."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ecoamlp.data import Dataset
@@ -22,6 +25,7 @@ from ecoamlp.mlp import (
     predict,
     sigmoid,
     train_epoch,
+    train_epochs,
 )
 
 from synth import numeric_schema, random_dataset, separable_dataset
@@ -243,6 +247,62 @@ class TestTraining:
         preds = predict(net, ds.features)
         tp, tn, fp, fn = oracles.recount_confusion(preds, ds.labels)
         assert evaluate_error(net, ds) == pytest.approx((fp + fn) / len(ds), abs=1e-15)
+
+
+@st.composite
+def lockstep_cases(draw):
+    """Networks of mixed widths and rates, a dataset, one shuffle seed each."""
+    n_features = draw(st.integers(1, 10))
+    n_rows = draw(st.integers(1, 30))
+    widths = draw(st.lists(st.integers(1, 64), min_size=1, max_size=6))
+    networks = [
+        init_network(MlpConfig(n_features, width, draw(st.floats(1e-3, 1.0)),
+                               weight_init_seed=draw(st.integers(0, 2**31))))
+        for width in widths
+    ]
+    scale = draw(st.sampled_from([1.0, 100.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    dataset = Dataset(numeric_schema(n_features), rng.normal(size=(n_rows, n_features)) * scale,
+                      rng.integers(0, 2, size=n_rows), np.arange(n_rows))
+    seeds = [draw(st.integers(0, 2**31)) for _ in networks]
+    return networks, dataset, seeds
+
+
+class TestLockstep:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(lockstep_cases())
+    def test_matches_training_each_network_alone(self, case):
+        networks, dataset, seeds = case
+        alone = [MlpNetwork(net.config, net.w_ih.copy(), net.w_ho.copy()) for net in networks]
+        train_epochs(networks, dataset, seeds)
+        for net, single, seed in zip(networks, alone, seeds):
+            train_epoch(single, dataset, seed)
+            # compared as bytes: bit for bit, NaN and the sign of zero included
+            assert net.w_ih.tobytes() == single.w_ih.tobytes()
+            assert net.w_ho.tobytes() == single.w_ho.tobytes()
+            assert net.epochs_trained == single.epochs_trained == 1
+
+    def test_empty_dataset_rejected(self):
+        empty = Dataset(numeric_schema(2), np.empty((0, 2)),
+                        np.empty(0, dtype=np.int64), np.arange(0))
+        with pytest.raises(ValueError, match="^cannot train on an empty dataset$"):
+            train_epochs([tiny_network(), tiny_network()], empty, [0, 1])
+
+    @pytest.mark.parametrize("bad_slot", [0, 2])
+    def test_feature_mismatch_on_any_member_rejected(self, bad_slot):
+        ds = random_dataset(10, 2, seed=7)
+        networks = [tiny_network() for _ in range(3)]
+        networks[bad_slot] = init_network(MlpConfig(3, 2, 0.1))
+        before = [net.w_ih.copy() for net in networks]
+        with pytest.raises(ValueError, match="^dataset has 2 features, network expects 3$"):
+            train_epochs(networks, ds, [0, 1, 2])
+        # nothing trains when any member is rejected
+        assert all(np.array_equal(net.w_ih, w) for net, w in zip(networks, before))
+        assert all(net.epochs_trained == 0 for net in networks)
+
+    def test_one_seed_per_network(self):
+        with pytest.raises(ValueError, match="shuffle seeds"):
+            train_epochs([tiny_network(), tiny_network()], random_dataset(5, 2), [0])
 
 
 class TestSerialization:
