@@ -20,7 +20,7 @@ import numpy as np
 
 from .class_outlier import OutlierParams
 from .data import Dataset, largest_remainder_allocation, round_half_up
-from .distance import Measure, distances_to
+from .distance import Measure, cross_distances, nearest_neighbours
 from .errors import ConfigError, DataError
 
 PREPROCESSOR_KINDS = ("none", "ztransform", "bootstrap", "stratified", "ecodb")
@@ -146,18 +146,19 @@ def knn_predict(
     k: int = 5,
     measure: Measure = Measure.EUCLIDEAN,
 ) -> np.ndarray:
+    """Majority vote of each row's k nearest training instances; a tie votes 0.
+
+    One ``cross_distances`` matrix (test rows x training rows, filled in
+    row blocks) feeds ``nearest_neighbours``, which orders neighbours by
+    (distance, id) exactly as a per-row ``lexsort`` would.
+    """
     if len(train) == 0:
         raise DataError("knn needs a non-empty training set")
     if not 1 <= k <= len(train):
         raise ConfigError(f"k must be in [1, {len(train)}], got {k}")
-    X = np.asarray(X, dtype=np.float64)
-    preds = np.empty(X.shape[0], dtype=np.int64)
-    for i in range(X.shape[0]):
-        dists = distances_to(train.features, X[i], measure, train.schema.kinds)
-        order = np.lexsort((train.ids, dists))[:k]
-        votes_one = int(train.labels[order].sum())
-        preds[i] = 1 if votes_one * 2 > k else 0
-    return preds
+    D = cross_distances(X, train.features, measure, train.schema.kinds)
+    votes_one = train.labels[nearest_neighbours(D, train.ids, k)].sum(axis=1)
+    return (votes_one * 2 > k).astype(np.int64)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -21,7 +21,13 @@ outlier:
   smaller id), which is then re-ranked by the normalised score.
 
 Neighbourhoods never include the query instance itself. Neighbour ties at
-equal distance are broken by ascending instance id.
+equal distance are broken by ascending instance id; the rule lives in
+``distance.nearest_neighbours``, which k-NN voting shares.
+
+Each detection builds one n x n matrix with ``pairwise_distances`` and
+derives all components from it in row blocks, without a per-row loop
+(see ``_component_table``); the results equal a row-at-a-time
+computation bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .data import Dataset
-from .distance import Measure, pairwise_distances
+from .distance import Measure, block_rows, nearest_neighbours, pairwise_distances
 from .errors import ConfigError
 
 EPSILON_DEVIATION = 1e-12
@@ -133,8 +139,8 @@ def ecof(k: int, pcl_value: float, norm_deviation: float, norm_kdist: float) -> 
 
 def codb_detect(dataset: Dataset, params: OutlierParams) -> OutlierReport:
     """Rank all instances by codb score and keep the n lowest."""
-    table = _component_table(dataset, params.k, params.measure)
     _check_n(params.n_outliers, len(dataset))
+    table = _component_table(dataset, params.k, params.measure)
     scored = []
     for ident, same_count, dev, kd in table:
         score, flagged = cof(params.k, same_count / params.k, dev, kd, params.alpha, params.beta)
@@ -151,8 +157,8 @@ def ecodb_detect(dataset: Dataset, params: OutlierParams) -> OutlierReport:
     candidates. Pass 2 min-max normalises deviation and kdist within the
     candidate set, scores with ``ecof``, and re-ranks ascending (ties by id).
     """
-    table = _component_table(dataset, params.k, params.measure)
     _check_n(params.n_outliers, len(dataset))
+    table = _component_table(dataset, params.k, params.measure)
     # k * (count / k) ranks identically to the integer neighbour count.
     pass1 = sorted(table, key=lambda t: (t[1], -t[2], t[3], t[0]))
     candidates = pass1[: params.n_outliers]
@@ -183,32 +189,46 @@ def _min_max(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def _neighbour_order(dists: np.ndarray, ids: np.ndarray, exclude_row: int) -> np.ndarray:
-    order = np.lexsort((ids, dists))
-    return order[order != exclude_row]
-
-
 def _component_table(
     dataset: Dataset,
     k: int,
     measure: Measure,
 ) -> List[Tuple[int, int, float, float]]:
-    """Per-instance (id, same-label neighbour count, deviation, kdist)."""
-    n = len(dataset)
-    _check_k(k, n)
+    """Per-instance (id, same-label neighbour count, deviation, kdist).
+
+    Each component is one gathered 2-D array summed along its last axis:
+    the k neighbours in (distance, id) order for kdist, and the other rows
+    of the instance's class in row order for deviation. A last-axis sum of
+    a row is the same pairwise summation as the 1-D ``sum`` of that row,
+    so every component equals the one-row-at-a-time result bit for bit.
+    """
+    _check_k(k, len(dataset))
     D = pairwise_distances(dataset.features, measure, dataset.schema.kinds)
-    ids = dataset.ids
     labels = dataset.labels
-    table = []
-    for i in range(n):
-        order = _neighbour_order(D[i], ids, exclude_row=i)[:k]
-        same_count = int((labels[order] == labels[i]).sum())
-        kd = float(D[i][order].sum())
-        mask = labels == labels[i]
-        mask[i] = False
-        dev = float(D[i][mask].sum())
-        table.append((int(ids[i]), same_count, dev, kd))
-    return table
+    neighbours = nearest_neighbours(D, dataset.ids, k, exclude_self=True)
+    same_count = np.count_nonzero(labels[neighbours] == labels[:, None], axis=1)
+    kdist = np.take_along_axis(D, neighbours, axis=1).sum(axis=1)
+    return list(zip(dataset.ids.tolist(), same_count.tolist(),
+                    _deviations(D, labels).tolist(), kdist.tolist()))
+
+
+def _deviations(D: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each row's summed distance to the other rows of its class.
+
+    Rows of one class are taken in blocks; block row p gathers the class's
+    columns in row order with its own position p left out.
+    """
+    dev = np.empty(D.shape[0])
+    for label in np.unique(labels):
+        rows = np.flatnonzero(labels == label)
+        others = np.arange(rows.shape[0] - 1)
+        step = block_rows(rows.shape[0])
+        for start in range(0, rows.shape[0], step):
+            own = rows[start:start + step]
+            positions = np.arange(start, start + own.shape[0])[:, None]
+            cols = rows[others + (others >= positions)]
+            dev[own] = D[own[:, None], cols].sum(axis=1)
+    return dev
 
 
 def _check_k(k: int, n: int) -> None:

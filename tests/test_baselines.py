@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ecoamlp.baselines import (
@@ -20,7 +22,7 @@ from ecoamlp.baselines import (
     ztransform_fit,
 )
 from ecoamlp.data import Dataset
-from ecoamlp.distance import Measure
+from ecoamlp.distance import Measure, distance
 from ecoamlp.errors import ConfigError, DataError
 
 from synth import numeric_schema, random_dataset
@@ -232,6 +234,29 @@ class TestKnn:
         want = [brute_force_knn(train, q.tolist(), k, name)
                 for q in queries.features]
         assert got.tolist() == want
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        n=st.integers(1, 30),
+        d=st.integers(2, 4),
+        levels=st.integers(1, 4),
+        measure=st.sampled_from([Measure.EUCLIDEAN, Measure.CORRELATION]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_rowwise_lexsort_vote(self, n, d, levels, measure, seed, data):
+        # few feature levels, so neighbour distances tie at the k-th place
+        rng = np.random.default_rng(seed)
+        train = Dataset(numeric_schema(d), rng.integers(0, levels, size=(n, d)).astype(float),
+                        rng.integers(0, 2, size=n), rng.permutation(4 * n)[:n])
+        queries = rng.integers(0, levels, size=(data.draw(st.integers(0, 8)), d)).astype(float)
+        k = data.draw(st.sampled_from(sorted({1, max(1, n // 2), n})))
+        want = []
+        for q in queries:
+            dists = np.array([distance(q, row, measure) for row in train.features])
+            votes = train.labels[np.lexsort((train.ids, dists))[:k]].sum()
+            want.append(1 if votes * 2 > k else 0)
+        assert knn_predict(train, queries, k=k, measure=measure).tolist() == want
 
     def test_errors(self):
         ds = random_dataset(5, 2, seed=13)

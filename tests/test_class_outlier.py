@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from ecoamlp import class_outlier
 from ecoamlp.class_outlier import (
     EPSILON_DEVIATION,
     OutlierParams,
@@ -271,3 +274,70 @@ class TestRemoveOutliers:
         cleaned = remove_outliers(ds, first)
         second = ecodb_detect(cleaned, params)
         assert not set(first.outlier_ids) & set(second.outlier_ids)
+
+
+@st.composite
+def lattice_datasets(draw):
+    """Points on a line through (2, 3, 6) at integer steps, with shuffled ids.
+
+    Every distance is 7 times an integer step, so it is exact, and so is
+    every sum of distances in any order: the oracle's Python sums and the
+    package's numpy sums agree bit for bit, and rankings can be compared
+    exactly. Few distinct steps make most k-th neighbour distances tied.
+    """
+    n = draw(st.integers(3, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = rng.integers(0, draw(st.integers(1, 6)), size=n).astype(np.float64)
+    features = steps[:, None] * np.array([2.0, 3.0, 6.0])
+    labels = rng.integers(0, 2, size=n)
+    ids = rng.permutation(5 * n)[:n]
+    return Dataset(numeric_schema(3), features, labels, ids)
+
+
+NEIGHBOUR_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+ALPHA, BETA = 64.0, 0.125  # powers of two: alpha * (1 / dev) rounds like alpha / dev
+
+
+class TestNeighbourSelection:
+    @NEIGHBOUR_SETTINGS
+    @given(ds=lattice_datasets(), data=st.data())
+    def test_components_match_oracle(self, ds, data):
+        k = data.draw(st.integers(1, len(ds) - 1))
+        got = components(ds, k)
+        for ident in ds.ids.tolist():
+            pcl, dev, kdist = oracles.components(ds, ident, k, "euclidean")
+            assert (got[ident].pcl, got[ident].deviation, got[ident].kdist) == (pcl, dev, kdist)
+
+    @NEIGHBOUR_SETTINGS
+    @given(ds=lattice_datasets(), data=st.data())
+    def test_rankings_match_oracles(self, ds, data):
+        k = data.draw(st.integers(1, len(ds) - 1))
+        n_out = data.draw(st.integers(0, len(ds)))
+        params = OutlierParams(k=k, n_outliers=n_out, measure=Measure.EUCLIDEAN,
+                               alpha=ALPHA, beta=BETA)
+        ecodb = [(s.id, s.score) for s in ecodb_detect(ds, params).ranked]
+        assert ecodb == oracles.ecodb(ds, k, n_out, "euclidean")
+        codb = [(s.id, s.score) for s in codb_detect(ds, params).ranked]
+        assert codb == oracles.codb(ds, k, n_out, "euclidean", ALPHA, BETA)
+
+    @NEIGHBOUR_SETTINGS
+    @given(ds=lattice_datasets(), data=st.data())
+    def test_rankings_ignore_row_order(self, ds, data):
+        k = data.draw(st.integers(1, len(ds) - 1))
+        params = OutlierParams(k=k, n_outliers=len(ds), measure=Measure.EUCLIDEAN)
+        order = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(len(ds))
+        shuffled = Dataset(ds.schema, ds.features[order], ds.labels[order], ds.ids[order])
+        for detect in (ecodb_detect, codb_detect):
+            assert detect(shuffled, params).ranked == detect(ds, params).ranked
+
+
+class TestCheckOrder:
+    @pytest.mark.parametrize("detect", [codb_detect, ecodb_detect])
+    def test_too_many_outliers_rejected_before_distances(self, detect, monkeypatch):
+        def no_distances(*args, **kwargs):
+            raise AssertionError("the distance matrix was built before the n_outliers check")
+
+        monkeypatch.setattr(class_outlier, "pairwise_distances", no_distances)
+        ds = random_dataset(10, 3, seed=8)
+        with pytest.raises(ConfigError, match="cannot report 11 outliers"):
+            detect(ds, OutlierParams(k=3, n_outliers=11))
