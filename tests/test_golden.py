@@ -10,7 +10,9 @@ them.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from ecoamlp.automlp import AutoMlpParams, fit_automlp
 from ecoamlp.baselines import Preprocessor
 from ecoamlp.class_outlier import OutlierParams, codb_detect, ecodb_detect
 from ecoamlp.data import SplitSpec, split
-from ecoamlp.distance import Measure
+from ecoamlp.distance import Measure, cross_distances, pairwise_distances
 from ecoamlp.harness import ClassifierConfig, ExperimentConfig, run_experiment
 
 from synth import mixed_dataset, random_dataset
@@ -83,6 +85,54 @@ def test_outlier_ranking(algorithm, measure):
     report = detect(ds, OutlierParams(k=6, n_outliers=12, measure=Measure.parse(measure),
                                       alpha=10.0, beta=0.5))
     assert _json_digest(report.to_json_obj()) == OUTLIER_GOLDEN[(algorithm, measure)]
+
+
+def _random_table(rows, d, seed):
+    """Columns on scales from 1e-2 to 1e3, one duplicated and one constant row."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(rows, d)) * 10.0 ** rng.uniform(-2, 3, size=d)
+    X[1] = X[0]
+    X[2] = 1.5
+    return X
+
+
+# Correlation matrices: each feature count takes another branch of the
+# dot products' summation (d < 8, 8 <= d <= 128 and d > 128).
+MATRIX_GOLDEN = {
+    ("cross", 5): "71838cdad51ade44d580aef957836678d959b69453e363c8e61c7e20a1b9b394",
+    ("cross", 8): "fcb1e30b00b29b9a454cd296c5a5bf59675f4fd65d50692b120490895a58da70",
+    ("cross", 13): "b0c244cc5ce4e0698f083a126422aba66d06f87177bfaa6f6b759170cdbd2b7c",
+    ("cross", 130): "b6e488dee32e0cb6ba8974dd05fe7a8a33630c25cc96690cb02b3e8ae5e2d2cf",
+    ("pairwise", 5): "91fb809b23c104848a8907b8db6b03402a61351ffeefc000a9277956b7eb8506",
+    ("pairwise", 8): "653e7436792ccd16189934993965eedb99b3483f0aa3f7d71d081a05289a94bc",
+    ("pairwise", 13): "a92c387472720b53385cc32263c55714f0969d6f1e76a75dd11e235a48b68d34",
+    ("pairwise", 130): "5183fef0e7ebefc1d5588ea7cec5915d68e7b20e01c143fac7de6c44a26dfc27",
+}
+
+
+@pytest.mark.parametrize("kind,d", sorted(MATRIX_GOLDEN))
+def test_correlation_matrix(kind, d):
+    X = _random_table(70, d, seed=d)
+    if kind == "cross":
+        Q = _random_table(31, d, seed=100 + d)
+        Q[3] = X[5]
+        D = cross_distances(Q, X, Measure.CORRELATION)
+    else:
+        D = pairwise_distances(X, Measure.CORRELATION)
+    assert _array_digest(D) == MATRIX_GOLDEN[(kind, d)]
+
+
+PIDD_MATRIX_GOLDEN = "8ac55a8210852e6034ee5784b3a1e313f2f2ebf23e249d3df827ba3abdaa1b8d"
+
+
+def test_correlation_matrix_on_pidd_shaped_rows():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "pidd_table.py"
+    spec = importlib.util.spec_from_file_location("pidd_table", path)
+    pidd_table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pidd_table)
+    features, _ = pidd_table.generate(768, 0)
+    D = pairwise_distances(features[:538], Measure.CORRELATION)
+    assert _array_digest(D) == PIDD_MATRIX_GOLDEN
 
 
 SPLIT_GOLDEN = {
