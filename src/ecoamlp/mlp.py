@@ -69,33 +69,6 @@ class MlpNetwork:
     w_ho: np.ndarray
     epochs_trained: int = 0
 
-    def to_json_obj(self) -> dict:
-        return {
-            "input_dim": self.config.input_dim,
-            "hidden_units": self.config.hidden_units,
-            "learning_rate": self.config.learning_rate,
-            "weight_init_seed": self.config.weight_init_seed,
-            "epochs_trained": self.epochs_trained,
-            "w_ih": self.w_ih.tolist(),
-            "w_ho": self.w_ho.tolist(),
-        }
-
-
-def network_from_json(obj: dict) -> MlpNetwork:
-    config = MlpConfig(
-        input_dim=int(obj["input_dim"]),
-        hidden_units=int(obj["hidden_units"]),
-        learning_rate=float(obj["learning_rate"]),
-        weight_init_seed=int(obj["weight_init_seed"]),
-    )
-    w_ih = np.asarray(obj["w_ih"], dtype=np.float64)
-    w_ho = np.asarray(obj["w_ho"], dtype=np.float64)
-    if w_ih.shape != (config.hidden_units, config.input_dim + 1) or w_ho.shape != (
-        config.hidden_units + 1,
-    ):
-        raise ConfigError("serialized weights do not match the stated layer sizes")
-    return MlpNetwork(config, w_ih, w_ho, epochs_trained=int(obj.get("epochs_trained", 0)))
-
 
 def init_network(config: MlpConfig) -> MlpNetwork:
     rng = np.random.default_rng(config.weight_init_seed)

@@ -6,13 +6,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from ecoamlp.distance import (
     BLOCK_ELEMENTS,
     Measure,
+    _add_reduce,
+    _correlation_arrays,
     block_rows,
     cross_distances,
     distance,
@@ -168,7 +170,7 @@ def feature_matrices(draw, d=None):
     its output in two or more blocks.
     """
     d = draw(st.integers(2, 24)) if d is None else d
-    spanning = math.isqrt(2 * BLOCK_ELEMENTS // d) + 1
+    spanning = math.isqrt(2 * BLOCK_ELEMENTS // min(d, _correlation_arrays(d))) + 1
     n = draw(st.one_of(st.integers(1, 12), st.integers(spanning, spanning + 40)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -194,13 +196,14 @@ def scalar_reference(Q, X, pairs, measure):
     return np.array([distance(Q[i], X[j], measure, kinds) for i, j in pairs])
 
 
-def sample_pairs(m, X, seed, size=150):
+def sample_pairs(m, X, seed, measure, size=150):
     """Every pair when the (m, len(X)) matrix is small, else the first and
     last row of every block the kernel fills, plus a random sample."""
     n = len(X)
     if m * n <= size:
         return [(i, j) for i in range(m) for j in range(n)]
-    step = block_rows(X.size)
+    correlation = measure is Measure.CORRELATION
+    step = block_rows(_correlation_arrays(X.shape[1]) * n if correlation else X.size)
     edges = sorted({r for start in range(0, m, step) for r in (start, min(start + step, m) - 1)})
     rng = np.random.default_rng(seed)
     pairs = [(i, j) for i in edges for j in (0, n - 1)]
@@ -218,7 +221,7 @@ class TestBlockedMatrix:
     @given(X=feature_matrices())
     def test_pairwise_equals_scalar_distance_bit_for_bit(self, measure, X):
         D = pairwise_distances(X, measure, mixed_kinds(X.shape[1]))
-        pairs = sample_pairs(len(X), X, seed=len(X))
+        pairs = sample_pairs(len(X), X, len(X), measure)
         got = np.array([D[i, j] for i, j in pairs])
         assert np.array_equal(bits(got), bits(scalar_reference(X, X, pairs, measure)))
 
@@ -231,7 +234,7 @@ class TestBlockedMatrix:
         Q[:shared] = X[:shared]
         D = cross_distances(Q, X, measure, mixed_kinds(X.shape[1]))
         assert D.shape == (len(Q), len(X))
-        pairs = sample_pairs(len(Q), X, seed=len(Q))
+        pairs = sample_pairs(len(Q), X, len(Q), measure)
         got = np.array([D[i, j] for i, j in pairs])
         assert np.array_equal(bits(got), bits(scalar_reference(Q, X, pairs, measure)))
 
@@ -250,6 +253,64 @@ class TestBlockedMatrix:
             constant = np.all(X == X[:, :1], axis=1)
             either = (constant[:, None] | constant[None, :]) & ~equal
             assert np.all(D[either] == 1.0)
+
+
+def parent_correlation(a, b):
+    """Correlation distance of one pair, written as one ``np.sum`` per reduction."""
+    if np.all(a == b):
+        return 0.0
+    ac, bc = a - a.mean(), b - b.mean()
+    aa, bb = np.sum(ac * ac), np.sum(bc * bc)
+    if not (aa > 0.0 and bb > 0.0):
+        return 1.0
+    return 1.0 - np.clip(np.sum(ac * bc) / np.sqrt(aa * bb), -1.0, 1.0)
+
+
+class TestColumnSums:
+    """Dot products summed term by term over whole arrays keep numpy's order."""
+
+    @settings(PROPERTY_SETTINGS, max_examples=80)
+    @given(d=st.integers(1, 300),
+           scale=st.sampled_from([1.0, 1e8, 1e-8, "mixed"]),
+           zeros=st.sampled_from(["none", "signed", "all -0.0"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(d=7, scale=1.0, zeros="signed", seed=1)
+    @example(d=8, scale="mixed", zeros="none", seed=2)
+    @example(d=128, scale="mixed", zeros="signed", seed=3)
+    @example(d=129, scale="mixed", zeros="none", seed=4)
+    @example(d=300, scale=1e8, zeros="all -0.0", seed=5)
+    def test_add_reduce_equals_numpy_sum(self, d, scale, zeros, seed):
+        rng = np.random.default_rng(seed)
+        terms = rng.normal(size=(d, 3, 5))
+        if scale == "mixed":
+            terms *= 10.0 ** rng.integers(-8, 9, size=(d, 1, 5))
+        else:
+            terms *= scale
+        if zeros == "signed":
+            spots = rng.random(terms.shape) < 0.3
+            terms[spots] = np.where(rng.random(spots.sum()) < 0.5, 0.0, -0.0)
+        elif zeros == "all -0.0":
+            terms[...] = -0.0
+
+        def write(start, stop, out):
+            out[...] = terms[start:stop]
+            return out
+
+        buffers = np.empty((_correlation_arrays(d), 3, 5))
+        got = _add_reduce(write, d, buffers[:8], buffers[8:])
+        want = np.sum(np.stack(list(terms), -1), axis=-1)
+        assert np.array_equal(bits(got), bits(want))
+
+    @PROPERTY_SETTINGS
+    @given(d=st.sampled_from([2, 5, 8, 13, 24, 130]), data=st.data())
+    def test_correlation_matrix_equals_per_pair_sums(self, d, data):
+        X = data.draw(feature_matrices(d=d))
+        Q = data.draw(feature_matrices(d=d))
+        Q[:min(len(Q), len(X)) // 2] = X[:min(len(Q), len(X)) // 2]
+        D = cross_distances(Q, X, Measure.CORRELATION)
+        pairs = sample_pairs(len(Q), X, d, Measure.CORRELATION)
+        want = [parent_correlation(Q[i], X[j]) for i, j in pairs]
+        assert np.array_equal(bits([D[i, j] for i, j in pairs]), bits(want))
 
 
 class TestBlockLayout:
@@ -319,6 +380,17 @@ class TestNearestNeighbours:
         ids = rng.permutation(10 * n)[:n]
         got = nearest_neighbours(D, ids, k, exclude_self)
         assert np.array_equal(got, reference_neighbours(D, ids, k, exclude_self))
+
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    def test_every_row_twice(self, exclude_self):
+        # bootstrap-like: each row has a twin at the same distance, ids repeated
+        rng = np.random.default_rng(4)
+        X = np.repeat(rng.integers(0, 4, size=(150, 3)).astype(np.float64), 2, axis=0)
+        D = pairwise_distances(X)
+        ids = np.repeat(rng.permutation(150), 2)
+        for k in (1, 2, 5, 12):
+            got = nearest_neighbours(D, ids, k, exclude_self)
+            assert np.array_equal(got, reference_neighbours(D, ids, k, exclude_self))
 
     def test_wide_rows_span_several_blocks(self):
         rng = np.random.default_rng(8)

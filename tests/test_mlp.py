@@ -21,7 +21,6 @@ from ecoamlp.mlp import (
     forward_batch,
     init_network,
     loss_gradients,
-    network_from_json,
     predict,
     sigmoid,
     train_epoch,
@@ -303,20 +302,3 @@ class TestLockstep:
     def test_one_seed_per_network(self):
         with pytest.raises(ValueError, match="shuffle seeds"):
             train_epochs([tiny_network(), tiny_network()], random_dataset(5, 2), [0])
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        net = init_network(MlpConfig(3, 4, 0.25, weight_init_seed=15))
-        train_epoch(net, random_dataset(10, 3, seed=9), shuffle_seed=2)
-        clone = network_from_json(net.to_json_obj())
-        assert clone.config == net.config
-        assert clone.epochs_trained == net.epochs_trained
-        assert np.array_equal(clone.w_ih, net.w_ih)
-        assert np.array_equal(clone.w_ho, net.w_ho)
-
-    def test_shape_mismatch_rejected(self):
-        obj = init_network(MlpConfig(3, 4, 0.25)).to_json_obj()
-        obj["hidden_units"] = 5
-        with pytest.raises(ConfigError):
-            network_from_json(obj)
