@@ -55,6 +55,7 @@ BLOCK_ELEMENTS = 1 << 16
 """Values one block may hold (2^16 float64 = 512 KB): its largest
 temporary for euclidean and mixed, all its arrays together for correlation."""
 
+
 class Measure(enum.Enum):
     EUCLIDEAN = "euclidean"
     CORRELATION = "correlation"
@@ -153,20 +154,17 @@ def nearest_neighbours(
             block = block.copy()
             block[np.arange(b), np.arange(start, start + b)] = np.inf
         picks = np.argpartition(block, k - 1, axis=1)[:, :k]
-        dists = np.take_along_axis(block, picks, axis=1)
-        kth = dists[:, k - 1:]
-        order = np.lexsort((picks, ids[picks], dists), axis=1)
-        out[start:start + b] = np.take_along_axis(picks, order, axis=1)
+        kth = np.take_along_axis(block, picks[:, k - 1:], axis=1)
         finite = np.isfinite(kth[:, 0])
         tied = np.flatnonzero(finite & (np.count_nonzero(block <= kth, axis=1) > k))
         if tied.size:
             # every column nearer than the k-th goes in; columns at it fill up by rank
             rows, at = block[tied], kth[tied]
             key = np.where(rows < at, -1, np.where(rows == at, rank, n))
-            picks = np.argpartition(key, k - 1, axis=1)[:, :k]
-            dists = np.take_along_axis(rows, picks, axis=1)
-            order = np.lexsort((picks, ids[picks], dists), axis=1)
-            out[start + tied] = np.take_along_axis(picks, order, axis=1)
+            picks[tied] = np.argpartition(key, k - 1, axis=1)[:, :k]
+        dists = np.take_along_axis(block, picks, axis=1)
+        order = np.lexsort((picks, ids[picks], dists), axis=1)
+        out[start:start + b] = np.take_along_axis(picks, order, axis=1)
         for r in np.flatnonzero(~finite):
             row = start + r
             full = np.lexsort((ids, D[row]))
