@@ -253,38 +253,42 @@ def _add_reduce(terms, count, acc, spare):
     ``terms(start, stop, out)`` writes terms start to stop - 1 into ``out``
     and returns it. The sum equals ``np.add.reduce`` of the terms stacked
     on a contiguous last axis bit for bit, because it adds them in
-    numpy's pairwise order: fewer than 8 terms in a running sum from 0.0;
-    up to 128 terms in eight running accumulators, combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest one by one; more
-    than 128 as the sum of two halves split at half the count rounded
-    down to a multiple of 8; and 0.0 + the whole. ``acc`` holds eight
-    arrays of the result's shape and ``spare`` ``_correlation_arrays(count)
-    - 8`` more; the sum is left in ``acc[0]``.
+    numpy's pairwise order (``_pairwise_sum``) and then adds the whole to
+    0.0. ``acc`` holds eight arrays of the result's shape and ``spare``
+    ``_correlation_arrays(count) - 8`` more; the sum is left in ``acc[0]``.
     """
-    def pairwise(start, count):
-        if count < 8:
-            acc[0].fill(0.0)
-            for term in terms(start, start + count, spare[:count]):
-                acc[0] += term
-        elif count <= 128:
-            whole = count - count % 8
-            terms(start, start + 8, acc)
-            for i in range(start + 8, start + whole, 8):
-                np.add(acc, terms(i, i + 8, spare), out=acc)  # accumulator j adds term i + j
-            for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
-                acc[a] += acc[b]
-            for term in terms(start + whole, start + count, spare[:count - whole]):
-                acc[0] += term
-        else:
-            half = count // 2 - count // 2 % 8
-            pairwise(start, half)
-            low = acc[0].copy()
-            pairwise(start + half, count - half)
-            acc[0] += low
-
-    pairwise(0, count)
+    _pairwise_sum(terms, 0, count, acc, spare)
     acc[0] += 0.0
     return acc[0]
+
+
+def _pairwise_sum(terms, start, count, acc, spare):
+    """numpy's pairwise sum of terms start to start + count - 1, into ``acc[0]``.
+
+    Fewer than 8 terms go in a running sum from 0.0; up to 128 terms in
+    eight running accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the rest one by one; more than 128 as the sum of two halves split
+    at half the count rounded down to a multiple of 8.
+    """
+    if count < 8:
+        acc[0].fill(0.0)
+        for term in terms(start, start + count, spare[:count]):
+            acc[0] += term
+    elif count <= 128:
+        whole = count - count % 8
+        terms(start, start + 8, acc)
+        for i in range(start + 8, start + whole, 8):
+            acc += terms(i, i + 8, spare)  # accumulator j adds term i + j
+        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+            acc[a] += acc[b]
+        for term in terms(start + whole, start + count, spare[:count - whole]):
+            acc[0] += term
+    else:
+        half = count // 2 - count // 2 % 8
+        _pairwise_sum(terms, start, half, acc, spare)
+        low = acc[0].copy()
+        _pairwise_sum(terms, start + half, count - half, acc, spare)
+        acc[0] += low
 
 
 def _centred(A):
@@ -296,7 +300,8 @@ def _centred(A):
 def _row_labels(Q, X):
     """Labels that two rows of Q and X share exactly when they are equal
     element by element (``-0.0 == 0.0``, a row holding NaN equals none)."""
-    A = np.concatenate([Q, X]) + 0.0  # -0.0 becomes 0.0, so equal rows have equal bytes
+    A = np.concatenate([Q, X])
+    A += 0.0  # -0.0 becomes 0.0, so equal rows have equal bytes
     _, labels = np.unique(A.view(np.dtype((np.void, A.itemsize * A.shape[1]))).reshape(-1),
                           return_inverse=True)
     nan = np.isnan(A).any(axis=1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
@@ -338,6 +339,19 @@ class TestBlockLayout:
         got = pairwise_distances(np.asfortranarray(X), measure, kinds)
         assert np.array_equal(bits(got), bits(want))
         assert bits(want[3, 5]) == bits(distance(X[3], X[5], measure, kinds))
+
+    def test_blocks_leave_no_reference_cycles(self):
+        # a cycle would hold each call's block buffers until the collector runs
+        X = np.random.default_rng(3).normal(size=(300, 130))
+        gc.collect()
+        gc.disable()
+        try:
+            for measure in Measure:
+                pairwise_distances(X, measure, mixed_kinds(130))
+            nearest_neighbours(pairwise_distances(X), np.arange(300), 5, exclude_self=True)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_non_2d_input_rejected(self):
         with pytest.raises(ValueError, match="2-D"):
