@@ -256,8 +256,8 @@ class TestBlockedMatrix:
             assert np.all(D[either] == 1.0)
 
 
-def parent_correlation(a, b):
-    """Correlation distance of one pair, written as one ``np.sum`` per reduction."""
+def per_pair_correlation(a, b):
+    """Correlation distance of one pair, each reduction one ``np.sum`` over a row."""
     if np.all(a == b):
         return 0.0
     ac, bc = a - a.mean(), b - b.mean()
@@ -307,10 +307,11 @@ class TestColumnSums:
     def test_correlation_matrix_equals_per_pair_sums(self, d, data):
         X = data.draw(feature_matrices(d=d))
         Q = data.draw(feature_matrices(d=d))
-        Q[:min(len(Q), len(X)) // 2] = X[:min(len(Q), len(X)) // 2]
+        shared = min(len(Q), len(X)) // 2
+        Q[:shared] = X[:shared]
         D = cross_distances(Q, X, Measure.CORRELATION)
         pairs = sample_pairs(len(Q), X, d, Measure.CORRELATION)
-        want = [parent_correlation(Q[i], X[j]) for i, j in pairs]
+        want = [per_pair_correlation(Q[i], X[j]) for i, j in pairs]
         assert np.array_equal(bits([D[i, j] for i, j in pairs]), bits(want))
 
 
