@@ -144,7 +144,7 @@ def nearest_neighbours(
     """
     m, n = D.shape
     out = np.empty((m, k), dtype=np.intp)
-    rank = np.empty(n, dtype=np.intp)  # each column's place in (id, column) order
+    rank = np.empty(n, dtype=np.int32)  # each column's place in (id, column) order
     rank[np.argsort(ids, kind="stable")] = np.arange(n)
     step = block_rows(n)
     for start in range(0, m, step):
@@ -160,7 +160,9 @@ def nearest_neighbours(
         if tied.size:
             # every column nearer than the k-th goes in; columns at it fill up by rank
             rows, at = block[tied], kth[tied]
-            key = np.where(rows < at, -1, np.where(rows == at, rank, n))
+            key = np.full(rows.shape, n, dtype=np.int32)
+            np.copyto(key, rank, where=rows == at)
+            np.copyto(key, -1, where=rows < at)
             picks[tied] = np.argpartition(key, k - 1, axis=1)[:, :k]
         dists = np.take_along_axis(block, picks, axis=1)
         order = np.lexsort((picks, ids[picks], dists), axis=1)
