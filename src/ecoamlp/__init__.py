@@ -19,14 +19,12 @@ from .class_outlier import (
 from .data import (
     Dataset,
     DataSplit,
-    FeatureSpec,
     Schema,
     SplitSpec,
     infer_schema,
     load_csv,
     pidd_schema,
     split,
-    transform_nominal,
 )
 from .distance import Measure, distance, pairwise_distances
 from .errors import ConfigError, DataError
@@ -53,7 +51,6 @@ __all__ = [
     "Dataset",
     "EvalReport",
     "ExperimentConfig",
-    "FeatureSpec",
     "Measure",
     "MlpConfig",
     "MlpNetwork",
@@ -85,6 +82,5 @@ __all__ = [
     "split",
     "stratified_sample",
     "train_epoch",
-    "transform_nominal",
     "ztransform_fit",
 ]

@@ -33,7 +33,7 @@ VARIANCE_FLOOR = 1e-9
 class Preprocessor:
     """Configuration of one train-set preprocessing step.
 
-    ``fraction`` only applies to the sampling kinds and defaults per kind
+    ``fraction`` only applies to the two samplers and defaults per sampler
     (1.0 for bootstrap, 0.9 for stratified) when left as None. ``outlier``
     only applies to ``ecodb``. ``seed`` feeds whichever step needs
     randomness.
@@ -156,7 +156,7 @@ def knn_predict(
         raise DataError("knn needs a non-empty training set")
     if not 1 <= k <= len(train):
         raise ConfigError(f"k must be in [1, {len(train)}], got {k}")
-    D = cross_distances(X, train.features, measure, train.schema.kinds)
+    D = cross_distances(X, train.features, measure)
     votes_one = train.labels[nearest_neighbours(D, train.ids, k)].sum(axis=1)
     return (votes_one * 2 > k).astype(np.int64)
 

@@ -203,7 +203,7 @@ def _component_table(
     so every component equals the one-row-at-a-time result bit for bit.
     """
     _check_k(k, len(dataset))
-    D = pairwise_distances(dataset.features, measure, dataset.schema.kinds)
+    D = pairwise_distances(dataset.features, measure)
     labels = dataset.labels
     neighbours = nearest_neighbours(D, dataset.ids, k, exclude_self=True)
     same_count = np.count_nonzero(labels[neighbours] == labels[:, None], axis=1)

@@ -9,14 +9,16 @@ Three subcommands:
 * ``detect-outliers`` - score a whole CSV with the class-outlier detector
                         and print or save the ranked report.
 
-Flags override values from ``--config``. Exit codes: 0 success, 1 bad
-configuration, 2 bad data, 3 internal error.
+Flags override values from ``--config``. Every feature column of the CSV
+must be numeric. The report files of ``run`` and ``sweep`` are written
+here, once, after the harness returns. Exit codes: 0 success, 1 bad
+configuration (an unknown measure among them), 2 bad data (a non-numeric
+feature cell among them), 3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import List, Optional
@@ -135,9 +137,7 @@ def _experiment_config(args) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _experiment_config(args)
-    # the harness would write the files as well; they are written once, below
-    report = run_experiment(dataclasses.replace(config, output_dir=None))
-    report = dataclasses.replace(report, config=config)
+    report = run_experiment(config)
     print(report.to_text(), end="")
     if config.output_dir:
         json_path, text_path = write_run_report(report, config.output_dir)
@@ -148,7 +148,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _experiment_config(args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    report = run_sweep(dataclasses.replace(config, output_dir=None), args.axis, variants)
+    report = run_sweep(config, args.axis, variants)
     print(report.to_text(), end="")
     if config.output_dir:
         json_path, text_path = write_sweep_report(report, config.output_dir)
@@ -158,8 +158,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_detect(args) -> int:
     config = _experiment_config(args)
-    # nominal values are already category ordinals after load; keeping the
-    # nominal kind metadata lets the mixed measure see which columns are which
     dataset = load_dataset(config)
     detect = ecodb_detect if args.algorithm == "ecodb" else codb_detect
     report = detect(dataset, config.preprocessor.outlier)

@@ -1,11 +1,13 @@
-"""Tabular datasets: schema, CSV ingestion, nominal encoding, seeded splits.
+"""Numeric tabular datasets: schema, CSV ingestion, seeded splits.
 
 File format
 -----------
 Comma-separated values, decimal-point reals, one instance per row with the
-class label in the final column. An optional single header line is
+class label in the final column. Every feature cell is a finite number; a
+table with a categorical column is refused, naming the row and the column
+of its first non-numeric cell. An optional single header line is
 auto-detected: the first row is treated as a header if and only if it fails
-to parse under the schema (a numeric cell that is not a finite number, or a
+to parse under the schema (a feature cell that is not a finite number, or a
 label outside the schema's class labels).
 
 Split reproducibility
@@ -24,49 +26,27 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .rng import fisher_yates
 
-NUMERIC = "numeric"
-NOMINAL = "nominal"
-
-
-@dataclass(frozen=True)
-class FeatureSpec:
-    """One column: a name, a kind, and (for nominal columns) its categories.
-
-    ``categories=None`` on a nominal feature means "discover categories in
-    first-appearance order during load"; after loading it holds the mapping
-    actually used, so encoded values can be traced back.
-    """
-
-    name: str
-    kind: str = NUMERIC
-    categories: Optional[Tuple[str, ...]] = None
-
-    def __post_init__(self):
-        if not self.name:
-            raise ConfigError("feature name must be non-empty")
-        if self.kind not in (NUMERIC, NOMINAL):
-            raise ConfigError(f"unknown feature kind {self.kind!r}")
-        if self.kind == NUMERIC and self.categories is not None:
-            raise ConfigError(f"numeric feature {self.name!r} cannot have categories")
-
 
 @dataclass(frozen=True)
 class Schema:
-    features: Tuple[FeatureSpec, ...]
+    """Feature names, in column order, and the two class labels."""
+
+    features: Tuple[str, ...]
     class_labels: Tuple[str, str]
 
     def __post_init__(self):
-        names = [f.name for f in self.features]
-        if len(set(names)) != len(names):
+        if not all(self.features):
+            raise ConfigError("feature names must be non-empty")
+        if len(set(self.features)) != len(self.features):
             raise ConfigError("feature names must be unique")
         if len(self.class_labels) != 2:
             raise ConfigError("exactly two class labels are required")
@@ -77,14 +57,6 @@ class Schema:
     def arity(self) -> int:
         return len(self.features)
 
-    @property
-    def kinds(self) -> Tuple[str, ...]:
-        return tuple(f.kind for f in self.features)
-
-    @property
-    def all_numeric(self) -> bool:
-        return all(f.kind == NUMERIC for f in self.features)
-
     def label_index(self, label: str) -> int:
         try:
             return self.class_labels.index(label)
@@ -92,19 +64,11 @@ class Schema:
             raise DataError(f"unknown class label {label!r}") from None
 
 
-@dataclass(frozen=True)
-class Instance:
-    features: np.ndarray
-    label: int
-    id: int
-
-
 class Dataset:
     """Immutable table of instances conforming to one schema.
 
-    Feature values are always stored as float64; nominal columns hold
-    category ordinals. Arrays are frozen after construction, so a Dataset is
-    safe to share across threads.
+    Feature values are always stored as float64. Arrays are frozen after
+    construction, so a Dataset is safe to share across threads.
     """
 
     def __init__(
@@ -154,14 +118,6 @@ class Dataset:
         except KeyError:
             raise DataError(f"unknown instance id {instance_id}") from None
 
-    def instance(self, instance_id: int) -> Instance:
-        r = self.row_of(instance_id)
-        return Instance(self.features[r], int(self.labels[r]), int(self.ids[r]))
-
-    def instances(self) -> Iterator[Instance]:
-        for r in range(len(self)):
-            yield Instance(self.features[r], int(self.labels[r]), int(self.ids[r]))
-
     def class_counts(self) -> Tuple[int, int]:
         counts = np.bincount(self.labels, minlength=2)
         return int(counts[0]), int(counts[1])
@@ -185,11 +141,10 @@ class Dataset:
         return self.take_rows(keep)
 
     def drop_features(self, names: Sequence[str]) -> "Dataset":
-        known = {f.name: i for i, f in enumerate(self.schema.features)}
         for name in names:
-            if name not in known:
+            if name not in self.schema.features:
                 raise ConfigError(f"cannot drop unknown feature {name!r}")
-        keep = [i for i, f in enumerate(self.schema.features) if f.name not in set(names)]
+        keep = [i for i, name in enumerate(self.schema.features) if name not in set(names)]
         if not keep:
             raise ConfigError("cannot drop every feature")
         schema = Schema(
@@ -197,8 +152,8 @@ class Dataset:
         )
         return Dataset(schema, self.features[:, keep], self.labels, self.ids)
 
-    def with_feature_matrix(self, features: np.ndarray, schema: Optional[Schema] = None) -> "Dataset":
-        return Dataset(schema or self.schema, features, self.labels, self.ids,
+    def with_feature_matrix(self, features: np.ndarray) -> "Dataset":
+        return Dataset(self.schema, features, self.labels, self.ids,
                        source_ids=self.source_ids)
 
 
@@ -314,17 +269,7 @@ def load_csv(path, schema: Schema) -> Dataset:
     for any malformed cell. Blank cells are rejected, never imputed.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with path.open(newline="") as fh:
-        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
-                if row and any(cell.strip() for cell in row)]
-    categories: List[Optional[List[str]]] = [
-        list(f.categories) if f.categories is not None else ([] if f.kind == NOMINAL else None)
-        for f in schema.features
-    ]
-    frozen = [f.categories is not None for f in schema.features]
-
+    rows = _read_rows(path)
     if rows and _row_fails(rows[0][1], schema):
         rows = rows[1:]
     if not rows:
@@ -338,34 +283,7 @@ def load_csv(path, schema: Schema) -> Dataset:
                 f"{path}: row {lineno} has {len(row)} columns, "
                 f"expected {schema.arity + 1}"
             )
-        for col, spec in enumerate(schema.features):
-            cell = row[col].strip()
-            if not cell:
-                raise DataError(f"{path}: row {lineno}, column {spec.name!r}: blank cell")
-            if spec.kind == NUMERIC:
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {lineno}, column {spec.name!r}: "
-                        f"not a number: {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"{path}: row {lineno}, column {spec.name!r}: "
-                        f"non-finite value {cell!r}"
-                    )
-            else:
-                cats = categories[col]
-                if cell not in cats:
-                    if frozen[col]:
-                        raise DataError(
-                            f"{path}: row {lineno}, column {spec.name!r}: "
-                            f"unknown category {cell!r}"
-                        )
-                    cats.append(cell)
-                value = float(cats.index(cell))
-            features[out_row, col] = value
+        features[out_row] = _feature_values(path, lineno, schema.features, row)
         label_cell = row[schema.arity].strip()
         if label_cell not in schema.class_labels:
             raise DataError(
@@ -373,98 +291,88 @@ def load_csv(path, schema: Schema) -> Dataset:
                 f"unknown class label {label_cell!r}"
             )
         labels[out_row] = schema.class_labels.index(label_cell)
+    return Dataset(schema, features, labels, np.arange(len(rows)))
 
-    resolved = Schema(
-        tuple(
-            replace(f, categories=tuple(categories[i]) if f.kind == NOMINAL else None)
-            for i, f in enumerate(schema.features)
-        ),
-        schema.class_labels,
-    )
-    return Dataset(resolved, features, labels, np.arange(len(rows)))
+
+def _read_rows(path: Path) -> List[Tuple[int, List[str]]]:
+    """The CSV's non-blank rows, each with its 1-based file line."""
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    with path.open(newline="") as fh:
+        return [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
+                if row and any(cell.strip() for cell in row)]
+
+
+def _feature_values(path: Path, lineno: int, names: Sequence[str],
+                    row: List[str]) -> List[float]:
+    """The finite numbers in a row's feature cells (the first ``len(names)``
+    cells); a :class:`DataError` naming the row and the column of the first
+    cell that holds none."""
+    try:
+        values = [float(cell) for cell in row[:len(names)]]
+        if all(map(math.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    name, cell = next((n, c.strip()) for n, c in zip(names, row) if not _is_number(c))
+    try:
+        float(cell)
+        problem = f"non-finite value {cell!r}"
+    except ValueError:
+        problem = f"not a number: {cell!r}" if cell else "blank cell"
+    raise DataError(f"{path}: row {lineno}, column {name!r}: {problem}")
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell.strip()))
+    except ValueError:
+        return False
 
 
 def _row_fails(row: List[str], schema: Schema) -> bool:
     if len(row) != schema.arity + 1:
         return True
-    for cell, spec in zip(row, schema.features):
-        if spec.kind == NUMERIC:
-            try:
-                if not math.isfinite(float(cell.strip())):
-                    return True
-            except ValueError:
-                return True
-        elif not cell.strip():
-            return True
+    if not all(_is_number(cell) for cell in row[:schema.arity]):
+        return True
     return row[schema.arity].strip() not in schema.class_labels
 
 
 def infer_schema(path) -> Schema:
-    """Guess a schema from a CSV: numeric columns where every cell parses,
-    nominal otherwise, labels = the two distinct values of the last column
-    in ascending string order.
+    """Guess a schema from a CSV: one feature per column but the last,
+    labels = the two distinct values of the last column in ascending
+    string order.
 
-    The first row counts as a header when any column that is numeric in
-    the remaining rows holds a non-numeric value there. A file whose
-    feature columns are all nominal therefore cannot have its header
-    auto-detected; pass an explicit schema to ``load_csv`` in that case.
+    The first row counts as a header when a feature column holds numbers
+    in every other row but not in the first. Every feature cell below the
+    header must be a finite number; a :class:`DataError` names the row and
+    the column of the first that is not.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with path.open(newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+    rows = _read_rows(path)
     if not rows:
         raise DataError(f"{path}: empty dataset")
-    width = len(rows[0])
+    first = rows[0][1]
+    width = len(first)
     if width < 2:
         raise DataError(f"{path}: need at least one feature column plus a label")
-    if any(len(r) != width for r in rows):
+    if any(len(r) != width for _, r in rows):
         raise DataError(f"{path}: inconsistent column counts")
 
-    def numeric_cell(cell: str) -> bool:
-        try:
-            return math.isfinite(float(cell.strip()))
-        except ValueError:
-            return False
-
-    def column_kinds(sample: List[List[str]]) -> List[str]:
-        return [
-            NUMERIC if all(numeric_cell(r[c]) for r in sample) else NOMINAL
-            for c in range(width - 1)
-        ]
-
-    header = False
-    if len(rows) > 1:
-        body_kinds = column_kinds(rows[1:])
-        header = any(
-            kind == NUMERIC and not numeric_cell(rows[0][c])
-            for c, kind in enumerate(body_kinds)
-        )
-    names = [c.strip() for c in rows[0][:-1]] if header else [f"f{i}" for i in range(width - 1)]
-    body = rows[1:] if header else rows
-    kinds = column_kinds(body)
-    labels = sorted({r[-1].strip() for r in body})
+    header = len(rows) > 1 and any(
+        not _is_number(first[c]) and all(_is_number(r[c]) for _, r in rows[1:])
+        for c in range(width - 1)
+    )
+    if header:
+        names, body = tuple(c.strip() for c in first[:-1]), rows[1:]
+    else:
+        names, body = tuple(f"f{i}" for i in range(width - 1)), rows
+    for lineno, row in body:
+        _feature_values(path, lineno, names, row)
+    labels = sorted({r[-1].strip() for _, r in body})
     if len(labels) != 2:
         raise DataError(f"{path}: expected exactly 2 class labels, found {len(labels)}")
-    return Schema(
-        tuple(FeatureSpec(n, k) for n, k in zip(names, kinds)),
-        (labels[0], labels[1]),
-    )
-
-
-def transform_nominal(dataset: Dataset) -> Dataset:
-    """Re-declare nominal columns as numeric; values are already the
-    first-appearance ordinals assigned at load, so they pass through
-    unchanged. All-numeric input is returned as-is (idempotent)."""
-    if dataset.schema.all_numeric:
-        return dataset
-    schema = Schema(
-        tuple(FeatureSpec(f.name, NUMERIC) for f in dataset.schema.features),
-        dataset.schema.class_labels,
-    )
-    return Dataset(schema, dataset.features, dataset.labels, dataset.ids,
-                   source_ids=dataset.source_ids)
+    return Schema(names, (labels[0], labels[1]))
 
 
 PIDD_FEATURES = (
@@ -482,7 +390,4 @@ PIDD_FEATURES = (
 def pidd_schema() -> Schema:
     """Schema of the Pima Indians diabetes table: 8 numeric features and a
     0/1 outcome label (1 = diabetic, the positive class)."""
-    return Schema(
-        tuple(FeatureSpec(name, NUMERIC) for name in PIDD_FEATURES),
-        ("0", "1"),
-    )
+    return Schema(PIDD_FEATURES, ("0", "1"))

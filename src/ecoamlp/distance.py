@@ -1,14 +1,12 @@
 """Distance measures between instance feature vectors.
 
-Three measures are supported:
+Two measures are supported:
 
 * ``euclidean`` - root of summed squared coordinate differences.
 * ``correlation`` - 1 minus the Pearson correlation of the two vectors
   treated as paired samples, giving a dissimilarity in [0, 2]. If either
   vector has zero variance the correlation is taken as 0 (distance 1),
   except that element-wise equal vectors are always at distance 0.
-* ``mixed`` - euclidean over the numeric features plus the count of
-  mismatching nominal features; requires per-feature kind metadata.
 
 ``cross_distances(Q, X)`` is the one kernel: the (m, n) matrix of
 distances from each row of Q to each row of X. ``pairwise_distances(X)``
@@ -18,10 +16,9 @@ rows at a time, with as many rows as ``BLOCK_ELEMENTS`` allows for what
 one query row of the block holds, so the temporaries stay within 512 KB
 whatever m is.
 
-* Euclidean (also the numeric part of mixed) holds (rows, n, d)
-  differences and reduces each distance on its own over the contiguous
-  length-d feature axis with ``einsum``, the same reduction whether a
-  block holds one row or many.
+* Euclidean holds (rows, n, d) differences and reduces each distance on
+  its own over the contiguous length-d feature axis with ``einsum``, the
+  same reduction whether a block holds one row or many.
 * Correlation centres the rows and takes their squared norms once per
   call. A block holds only (rows, n) arrays, at most 16 of them whatever
   d is (``_correlation_arrays``): it multiplies up to eight feature
@@ -44,22 +41,20 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
-from .data import NOMINAL, NUMERIC
 from .errors import ConfigError
 
 BLOCK_ELEMENTS = 1 << 16
 """Values one block may hold (2^16 float64 = 512 KB): its largest
-temporary for euclidean and mixed, all its arrays together for correlation."""
+temporary for euclidean, all its arrays together for correlation."""
 
 
 class Measure(enum.Enum):
     EUCLIDEAN = "euclidean"
     CORRELATION = "correlation"
-    MIXED = "mixed"
 
     @classmethod
     def parse(cls, name: str) -> "Measure":
@@ -79,7 +74,6 @@ def distance(
     a: np.ndarray,
     b: np.ndarray,
     measure: Measure = Measure.EUCLIDEAN,
-    kinds: Optional[Sequence[str]] = None,
 ) -> float:
     """Distance between two feature vectors under ``measure``."""
     a = np.asarray(a, dtype=np.float64)
@@ -88,23 +82,21 @@ def distance(
         raise ValueError("distance expects 1-D feature vectors")
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(cross_distances(a.reshape(1, -1), b.reshape(1, -1), measure, kinds)[0, 0])
+    return float(cross_distances(a.reshape(1, -1), b.reshape(1, -1), measure)[0, 0])
 
 
 def pairwise_distances(
     X: np.ndarray,
     measure: Measure = Measure.EUCLIDEAN,
-    kinds: Optional[Sequence[str]] = None,
 ) -> np.ndarray:
     """Symmetric n x n distance matrix with an exactly-zero diagonal."""
-    return cross_distances(X, X, measure, kinds)
+    return cross_distances(X, X, measure)
 
 
 def cross_distances(
     Q: np.ndarray,
     X: np.ndarray,
     measure: Measure = Measure.EUCLIDEAN,
-    kinds: Optional[Sequence[str]] = None,
 ) -> np.ndarray:
     """(m, n) matrix whose entry (i, j) is the distance from ``Q[i]`` to ``X[j]``."""
     # row-major, so every reduction runs along a contiguous row
@@ -114,7 +106,7 @@ def cross_distances(
         raise ValueError("Q and X must be 2-D matrices of row vectors")
     if Q.shape[1] != X.shape[1]:
         raise ValueError(f"length mismatch: {Q.shape[1]} vs {X.shape[1]} features")
-    block, row_values = _block_kernel(Q, X, measure, kinds)
+    block, row_values = _block_kernel(Q, X, measure)
     out = np.empty((Q.shape[0], X.shape[0]))
     step = block_rows(row_values)
     for start in range(0, Q.shape[0], step):
@@ -180,7 +172,6 @@ def _block_kernel(
     Q: np.ndarray,
     X: np.ndarray,
     measure: Measure,
-    kinds: Optional[Sequence[str]],
 ) -> Tuple[Callable[[slice], np.ndarray], int]:
     """The measure's block function and the values one query row of a block holds."""
     if measure is Measure.EUCLIDEAN:
@@ -189,12 +180,6 @@ def _block_kernel(
         if X.shape[1] < 2:
             raise ValueError("correlation distance needs vectors of length >= 2")
         return _correlation(Q, X)
-    if measure is Measure.MIXED:
-        if kinds is None:
-            raise ConfigError("mixed measure requires per-feature kind metadata")
-        if len(kinds) != X.shape[1]:
-            raise ConfigError("kind metadata length does not match feature count")
-        return _mixed(Q, X, kinds)
     raise ConfigError(f"unsupported measure {measure!r}")
 
 
@@ -310,22 +295,3 @@ def _row_labels(Q, X):
     labels[nan] = -1 - np.arange(np.count_nonzero(nan))
     return labels[:len(Q)], labels[len(Q):]
 
-
-def _mixed(Q, X, kinds):
-    kinds = list(kinds)
-    numeric = [i for i, k in enumerate(kinds) if k == NUMERIC]
-    nominal = [i for i, k in enumerate(kinds) if k == NOMINAL]
-    if len(numeric) + len(nominal) != len(kinds):
-        raise ConfigError(f"unknown feature kind in {sorted(set(kinds))}")
-    # a column subset comes back column-major; the copy puts each row back in one run
-    euclidean, _ = _euclidean(np.ascontiguousarray(Q[:, numeric]), np.ascontiguousarray(X[:, numeric]))
-    Qn, Xn = Q[:, nominal], X[:, nominal]
-
-    def block(rows):
-        out = np.zeros((len(Q[rows]), X.shape[0]))
-        if numeric:
-            out += euclidean(rows)
-        if nominal:
-            out += (Xn != Qn[rows, None, :]).sum(axis=2).astype(np.float64)
-        return out
-    return block, X.size

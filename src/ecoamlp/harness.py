@@ -1,14 +1,16 @@
 """Experiment harness: configuration, pipeline stages, reports, sweeps.
 
-A run is: load CSV -> optionally drop features -> split -> encode nominal
-features -> preprocess (fit on the training set only) -> fit classifier
-(train + validation only) -> evaluate on validation and test.
+A run is: load a numeric CSV -> optionally drop features -> split ->
+preprocess (fit on the training set only) -> fit classifier (train +
+validation only) -> evaluate on validation and test.
 
 The test subset is handed exclusively to the evaluation stage; it is
 never passed to preparation or fitting, and any fitted transform (such as
 a z-transform) is applied to it only inside :func:`evaluate_raw`. Repeat
 ``i`` of a run offsets every configured seed by ``i`` so repeats differ
-from each other but the whole run stays reproducible.
+from each other but the whole run stays reproducible. A sweep's variants
+differ only after the split, so it splits each repeat once and runs every
+variant on the same parts.
 
 ``CONFIG_FIELDS`` is the only description of the config's shape: its JSON
 form, its validation and the CLI's flags all derive from that table, and
@@ -16,8 +18,9 @@ defaults live only in the section dataclasses.
 
 Reports serialise to JSON (stable key order; the timestamp is the only
 field that varies between identical runs) and to an aligned text table.
-File writes go through a temp file plus rename so readers never observe a
-partial report.
+``run_experiment`` and ``run_sweep`` only return reports; the CLI writes
+them with ``write_run_report`` and ``write_sweep_report``, through a temp
+file plus rename so readers never observe a partial report.
 """
 
 from __future__ import annotations
@@ -49,15 +52,7 @@ from .class_outlier import (
     ecodb_detect,
     remove_outliers,
 )
-from .data import (
-    Dataset,
-    SplitSpec,
-    infer_schema,
-    load_csv,
-    pidd_schema,
-    split,
-    transform_nominal,
-)
+from .data import Dataset, DataSplit, SplitSpec, infer_schema, load_csv, pidd_schema, split
 from .distance import Measure
 from .errors import ConfigError
 from .metrics import EvalReport, evaluate, format_table
@@ -354,8 +349,8 @@ def evaluate_prepared(fitted: FittedClassifier, dataset: Dataset) -> EvalReport:
 
 def evaluate_raw(fitted: FittedClassifier, prepared: PreparedTraining,
                  dataset: Dataset) -> EvalReport:
-    """Score untouched data: encode, apply the fitted transform, predict."""
-    return evaluate_prepared(fitted, prepared.transform(transform_nominal(dataset)))
+    """Score untouched data: apply the fitted transform, predict."""
+    return evaluate_prepared(fitted, prepared.transform(dataset))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -461,14 +456,16 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def run_repeat(dataset: Dataset, config: ExperimentConfig, repeat_index: int) -> RepeatResult:
-    """One seeded pass of the full pipeline on an already-loaded dataset."""
-    spec = dataclasses.replace(config.split, seed=config.split.seed + repeat_index)
-    parts = split(dataset, spec)
-    train = transform_nominal(parts.train)
-    validation = transform_nominal(parts.validation)
+def split_repeat(dataset: Dataset, config: ExperimentConfig, repeat_index: int) -> DataSplit:
+    """The split of repeat ``repeat_index``: the split seed offset by the index."""
+    return split(dataset, dataclasses.replace(config.split, seed=config.split.seed + repeat_index))
+
+
+def run_repeat(parts: DataSplit, config: ExperimentConfig, repeat_index: int) -> RepeatResult:
+    """One seeded pass of the pipeline on the split ``split_repeat`` made."""
     prepared = prepare_training_data(
-        train, validation, config.preprocessor, config.preprocessor.seed + repeat_index
+        parts.train, parts.validation, config.preprocessor,
+        config.preprocessor.seed + repeat_index
     )
     fitted = fit_classifier(
         prepared,
@@ -490,7 +487,7 @@ def run_repeat(dataset: Dataset, config: ExperimentConfig, repeat_index: int) ->
         history = run.history_json_obj()
     return RepeatResult(
         repeat_index=repeat_index,
-        split_seed=spec.seed,
+        split_seed=config.split.seed + repeat_index,
         n_train=len(prepared.train),
         n_validation=len(prepared.validation),
         n_test=len(target),
@@ -513,18 +510,23 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
 
 
 def run_experiment(config: ExperimentConfig, dataset: Optional[Dataset] = None) -> RunReport:
-    """Run all repeats and (if configured) write report files.
+    """Run all repeats and return the report.
 
     An injected ``dataset`` is used as-is; ``drop_features`` is applied
     only when loading from ``data_path``.
     """
     if dataset is None:
         dataset = load_dataset(config)
-    results = tuple(run_repeat(dataset, config, i) for i in range(config.repeats))
-    report = RunReport(config, results, created_at=_timestamp())
-    if config.output_dir:
-        write_run_report(report, config.output_dir)
-    return report
+    return _run_splits(config, _split_repeats(dataset, config))
+
+
+def _split_repeats(dataset: Dataset, config: ExperimentConfig) -> List[DataSplit]:
+    return [split_repeat(dataset, config, i) for i in range(config.repeats)]
+
+
+def _run_splits(config: ExperimentConfig, splits: Sequence[DataSplit]) -> RunReport:
+    results = tuple(run_repeat(parts, config, i) for i, parts in enumerate(splits))
+    return RunReport(config, results, created_at=_timestamp())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -578,7 +580,10 @@ def run_sweep(
     variants: Sequence[str],
     dataset: Optional[Dataset] = None,
 ) -> SweepReport:
-    """Re-run the experiment once per variant along one config axis."""
+    """Re-run the experiment once per variant along one config axis.
+
+    Every variant runs on the same split of each repeat, made once.
+    """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r} (choose from: {', '.join(SWEEP_AXES)})")
     variants = tuple(variants)
@@ -588,31 +593,21 @@ def run_sweep(
         raise ConfigError(f"duplicate sweep variants in {variants}")
     if dataset is None:
         dataset = load_dataset(config)
+    splits = _split_repeats(dataset, config)
     runs: Dict[str, RunReport] = {}
     for variant in variants:
-        if axis == "preprocessor":
-            cfg = dataclasses.replace(
-                config,
-                preprocessor=dataclasses.replace(config.preprocessor, kind=variant),
-                output_dir=None,
-            )
-        else:
-            cfg = dataclasses.replace(
-                config,
-                classifier=dataclasses.replace(config.classifier, kind=variant),
-                output_dir=None,
-            )
-        runs[variant] = run_experiment(cfg, dataset=dataset)
-    report = SweepReport(
+        # the axis names the section whose kind varies; output_dir stays out
+        # of the nested configs, which the sweep report carries
+        section = dataclasses.replace(getattr(config, axis), kind=variant)
+        cfg = dataclasses.replace(config, output_dir=None, **{axis: section})
+        runs[variant] = _run_splits(cfg, splits)
+    return SweepReport(
         axis=axis,
         variants=variants,
         runs=runs,
         expectations=tuple(_sweep_expectations(axis, variants, runs)),
         created_at=_timestamp(),
     )
-    if config.output_dir:
-        write_sweep_report(report, config.output_dir)
-    return report
 
 
 def _sweep_expectations(axis: str, variants: Tuple[str, ...],

@@ -9,6 +9,26 @@ than tautology.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple, Sequence
+
+
+class Instance(NamedTuple):
+    """One row of a dataset: its features, class index and id."""
+
+    features: Sequence[float]
+    label: int
+    id: int
+
+
+def instances(dataset):
+    """Every row of ``dataset`` as an :class:`Instance`, in row order."""
+    return [Instance(dataset.features[r], int(dataset.labels[r]), int(dataset.ids[r]))
+            for r in range(len(dataset))]
+
+
+def instance(dataset, instance_id: int) -> Instance:
+    r = dataset.row_of(instance_id)
+    return Instance(dataset.features[r], int(dataset.labels[r]), int(dataset.ids[r]))
 
 
 def pearson_distance(a, b) -> float:
@@ -32,51 +52,36 @@ def euclidean_distance(a, b) -> float:
     return math.sqrt(sum((float(x) - float(y)) ** 2 for x, y in zip(a, b)))
 
 
-def mixed_distance(a, b, kinds) -> float:
-    num = euclidean_distance(
-        [x for x, k in zip(a, kinds) if k == "numeric"],
-        [y for y, k in zip(b, kinds) if k == "numeric"],
-    )
-    mismatches = sum(
-        1 for x, y, k in zip(a, b, kinds) if k == "nominal" and float(x) != float(y)
-    )
-    return num + float(mismatches)
-
-
-def distance(a, b, measure: str, kinds=None) -> float:
+def distance(a, b, measure: str) -> float:
     if measure == "euclidean":
         return euclidean_distance(a, b)
     if measure == "correlation":
         return pearson_distance(a, b)
-    if measure == "mixed":
-        return mixed_distance(a, b, kinds)
     raise ValueError(measure)
 
 
 def knn(dataset, query_id: int, k: int, measure: str):
     """All-pairs scan and full sort; returns [(id, dist)] of length k."""
-    kinds = dataset.schema.kinds
     q = dataset.features[dataset.row_of(query_id)]
     scored = []
-    for inst in dataset.instances():
+    for inst in instances(dataset):
         if inst.id == query_id:
             continue
-        scored.append((distance(q, inst.features, measure, kinds), inst.id))
+        scored.append((distance(q, inst.features, measure), inst.id))
     scored.sort()
     return [(i, d) for d, i in scored[:k]]
 
 
 def components(dataset, query_id: int, k: int, measure: str):
     """(pcl, deviation, kdist) of one instance, from first principles."""
-    kinds = dataset.schema.kinds
-    query = dataset.instance(query_id)
+    query = instance(dataset, query_id)
     neighbours = knn(dataset, query_id, k, measure)
     same = sum(1 for nid, _ in neighbours
-               if dataset.instance(nid).label == query.label)
+               if instance(dataset, nid).label == query.label)
     kdist = sum(d for _, d in neighbours)
     dev = sum(
-        distance(query.features, inst.features, measure, kinds)
-        for inst in dataset.instances()
+        distance(query.features, inst.features, measure)
+        for inst in instances(dataset)
         if inst.label == query.label and inst.id != query_id
     )
     return same / k, dev, kdist
@@ -88,7 +93,7 @@ def ecodb(dataset, k: int, n: int, measure: str):
     Returns [(id, score)] strongest outlier first.
     """
     table = []
-    for inst in dataset.instances():
+    for inst in instances(dataset):
         pcl, dev, kdist = components(dataset, inst.id, k, measure)
         table.append({"id": inst.id, "pcl": pcl, "dev": dev, "kdist": kdist})
     table.sort(key=lambda t: (k * t["pcl"], -t["dev"], t["kdist"], t["id"]))
@@ -114,7 +119,7 @@ def ecodb(dataset, k: int, n: int, measure: str):
 def codb(dataset, k: int, n: int, measure: str, alpha: float, beta: float):
     """Single-pass weighted scoring; returns [(id, score)]."""
     scored = []
-    for inst in dataset.instances():
+    for inst in instances(dataset):
         pcl, dev, kdist = components(dataset, inst.id, k, measure)
         dev = dev if dev != 0.0 else 1e-12
         scored.append((k * pcl + alpha / dev + beta * kdist, inst.id))

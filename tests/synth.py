@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ecoamlp.data import NOMINAL, Dataset, FeatureSpec, Schema
+from ecoamlp.data import Dataset, Schema
 
 
 def numeric_schema(n_features: int) -> Schema:
-    return Schema(
-        tuple(FeatureSpec(f"f{i}") for i in range(n_features)),
-        ("0", "1"),
-    )
+    return Schema(tuple(f"f{i}" for i in range(n_features)), ("0", "1"))
 
 
 def random_dataset(
@@ -37,37 +34,13 @@ def separable_dataset(n: int, n_features: int = 3, seed: int = 0) -> Dataset:
                    np.arange(n))
 
 
-def mixed_schema() -> Schema:
-    return Schema(
-        (
-            FeatureSpec("x0"),
-            FeatureSpec("colour", NOMINAL, categories=("red", "blue", "green")),
-            FeatureSpec("x1"),
-        ),
-        ("0", "1"),
-    )
-
-
-def mixed_dataset(n: int, seed: int = 0) -> Dataset:
-    rng = np.random.default_rng(seed)
-    features = np.column_stack(
-        [
-            rng.normal(size=n),
-            rng.integers(0, 3, size=n).astype(np.float64),
-            rng.normal(size=n),
-        ]
-    )
-    labels = rng.integers(0, 2, size=n)
-    return Dataset(mixed_schema(), features, labels, np.arange(n))
-
-
 def write_csv(path, dataset: Dataset, header: bool = True) -> None:
     lines = []
     if header:
-        lines.append(",".join(f.name for f in dataset.schema.features) + ",label")
-    for inst in dataset.instances():
-        cells = [repr(float(v)) for v in inst.features]
-        cells.append(dataset.schema.class_labels[inst.label])
+        lines.append(",".join(dataset.schema.features) + ",label")
+    for features, label in zip(dataset.features, dataset.labels):
+        cells = [repr(float(v)) for v in features]
+        cells.append(dataset.schema.class_labels[label])
         lines.append(",".join(cells))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -36,6 +36,7 @@ from ecoamlp.harness import (
     run_experiment,
     run_repeat,
     run_sweep,
+    split_repeat,
 )
 from ecoamlp.metrics import ConfusionMatrix, report
 from ecoamlp.mlp import MlpConfig, init_network, loss_gradients
@@ -301,7 +302,7 @@ def test_training_never_reads_test_data(monkeypatch):
             config = ExperimentConfig(split=SplitSpec(seed=1),
                                       preprocessor=pre, classifier=clf)
             counter.reads = 0
-            result = run_repeat(dataset, config, 0)
+            result = run_repeat(split_repeat(dataset, config, 0), config, 0)
             assert counter.reads > 0, "evaluation never touched the test subset"
             assert 0.0 <= result.test.accuracy <= 1.0
             configurations += 1

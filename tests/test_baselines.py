@@ -108,7 +108,7 @@ class TestBootstrap:
         assert sample.ids.tolist() == list(range(20))
         assert len(sample.source_ids) == 20
         for row, src in enumerate(sample.source_ids):
-            origin = ds.instance(src)
+            origin = oracles.instance(ds, src)
             assert np.array_equal(sample.features[row], origin.features)
             assert sample.labels[row] == origin.label
 
@@ -161,8 +161,8 @@ class TestStratified:
         ids = sample.ids.tolist()
         assert len(set(ids)) == len(ids)
         assert set(ids) <= set(ds.ids.tolist())
-        for inst in sample.instances():
-            origin = ds.instance(inst.id)
+        for inst in oracles.instances(sample):
+            origin = oracles.instance(ds, inst.id)
             assert np.array_equal(inst.features, origin.features)
             assert inst.label == origin.label
 

@@ -45,6 +45,12 @@ class TestRun:
         assert f"wrote {out_dir / 'report.json'}" in out
         report = json.loads((out_dir / "report.json").read_text())
         assert report["config"]["classifier"]["kind"] == "knn"
+        assert report["config"]["output_dir"] == str(out_dir)
+        text = (out_dir / "report.txt").read_text()
+        assert out.startswith(text)
+        assert "test medians" in text
+        assert "repeat 0 test" in text
+        assert not list(out_dir.glob("*.tmp"))
 
     def test_flags_override_config_file(self, data_csv, capsys, tmp_path):
         config_path = tmp_path / "config.json"
@@ -104,12 +110,12 @@ class TestReportFilesWrittenOnce:
                              "--output", str(out_dir))
         assert code == 0
         assert written == ["report.json", "report.txt"]
-        # the files hold what the harness itself writes for this config
+        # the files hold the report the harness returns for this config
         obj = json.loads((out_dir / "report.json").read_text())
         config = config_from_json_obj(obj["config"])
         assert config.output_dir == str(out_dir)
-        report = harness.run_experiment(dataclasses.replace(config, output_dir=None))
-        report = dataclasses.replace(report, config=config, created_at=obj["created_at"])
+        report = harness.run_experiment(config)
+        report = dataclasses.replace(report, created_at=obj["created_at"])
         assert_same_files(out_dir, harness.write_run_report(report, tmp_path / "expected"))
 
     def test_sweep(self, data_csv, capsys, tmp_path, written):
@@ -162,6 +168,24 @@ class TestExitCodes:
                              "--classifier", "knn", "--repeats", "0")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("run", "--outlier-measure", "mixed"),
+        ("run", "--knn-measure", "mixed"),
+        ("detect-outliers", "--measure", "mixed"),
+    ])
+    def test_mixed_measure_is_config_error(self, data_csv, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, "--data", data_csv)
+        assert code == 1
+        assert "mixed" in err and "euclidean" in err and "correlation" in err
+
+    def test_mixed_measure_in_config_file_is_config_error(self, data_csv, capsys, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(
+            {"data": data_csv, "preprocessor": {"outlier": {"measure": "mixed"}}}))
+        code, _, err = run_cli(capsys, "run", "--config", str(config_path))
+        assert code == 1
+        assert "choose from: euclidean, correlation)" in err
+
     def test_data_error_is_exit_two(self, data_csv, capsys):
         # pidd schema expects 8 feature columns; this file has 3
         code, _, err = run_cli(capsys, "run", "--data", data_csv,
@@ -203,8 +227,12 @@ class TestSweep:
                                "--classifier", "knn", "--axis", "classifier",
                                "--variants", "knn,nb", "--output", str(out_dir))
         assert code == 0
-        assert (out_dir / "sweep.json").exists()
-        assert (out_dir / "sweep.txt").exists()
+        assert f"wrote {out_dir / 'sweep.json'}" in out
+        assert json.loads((out_dir / "sweep.json").read_text())["variants"] == ["knn", "nb"]
+        text = (out_dir / "sweep.txt").read_text()
+        assert out.startswith(text)
+        assert "sweep over classifier" in text
+        assert not list(out_dir.glob("*.tmp"))
 
     def test_variants_required(self, data_csv, capsys):
         code, _, err = run_cli(capsys, "sweep", "--data", data_csv)
@@ -246,18 +274,17 @@ class TestDetectOutliers:
         assert f"wrote {path}" in out
         assert json.loads(path.read_text())["k"] == 5
 
-    def test_mixed_measure_on_nominal_csv(self, capsys, tmp_path):
-        path = tmp_path / "mixed.csv"
+    def test_nominal_csv_is_a_data_error(self, capsys, tmp_path):
+        path = tmp_path / "nominal.csv"
         rows = ["x,colour,label"]
         for i in range(12):
             colour = ("red", "blue", "green")[i % 3]
             rows.append(f"{float(i)},{colour},{'yes' if i % 2 else 'no'}")
         path.write_text("\n".join(rows) + "\n")
-        code, out, _ = run_cli(capsys, "detect-outliers", "--data", str(path),
-                               "--k", "3", "--n-outliers", "2",
-                               "--measure", "mixed")
-        assert code == 0
-        assert len(json.loads(out)["outliers"]) == 2
+        for command in ("detect-outliers", "run"):
+            code, _, err = run_cli(capsys, command, "--data", str(path))
+            assert code == 2
+            assert "row 2, column 'colour': not a number: 'red'" in err
 
     def test_bad_parameters(self, data_csv, capsys):
         # k must stay below the dataset size

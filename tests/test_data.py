@@ -1,4 +1,4 @@
-"""Dataset construction, CSV ingestion, nominal encoding, and splits."""
+"""Dataset construction, numeric CSV ingestion, and splits."""
 
 from __future__ import annotations
 
@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from ecoamlp.data import (
-    NOMINAL,
     Dataset,
-    FeatureSpec,
     Schema,
     SplitSpec,
     infer_schema,
@@ -17,11 +15,10 @@ from ecoamlp.data import (
     pidd_schema,
     round_half_up,
     split,
-    transform_nominal,
 )
 from ecoamlp.errors import ConfigError, DataError
 
-from synth import mixed_dataset, numeric_schema, random_dataset, write_csv
+from synth import numeric_schema, random_dataset, write_csv
 
 
 def small_dataset():
@@ -34,19 +31,22 @@ def small_dataset():
 
 
 class TestSchema:
-    def test_kinds_and_arity(self):
+    def test_features_and_arity(self):
         schema = numeric_schema(3)
         assert schema.arity == 3
-        assert schema.kinds == ("numeric", "numeric", "numeric")
-        assert schema.all_numeric
+        assert schema.features == ("f0", "f1", "f2")
 
     def test_duplicate_feature_names_rejected(self):
         with pytest.raises(ConfigError):
-            Schema((FeatureSpec("a"), FeatureSpec("a")), ("0", "1"))
+            Schema(("a", "a"), ("0", "1"))
+
+    def test_empty_feature_name_rejected(self):
+        with pytest.raises(ConfigError, match="non-empty"):
+            Schema(("a", ""), ("0", "1"))
 
     def test_two_distinct_labels_required(self):
         with pytest.raises(ConfigError):
-            Schema((FeatureSpec("a"),), ("x", "x"))
+            Schema(("a",), ("x", "x"))
 
     def test_label_index(self):
         schema = numeric_schema(1)
@@ -55,18 +55,13 @@ class TestSchema:
         with pytest.raises(DataError):
             schema.label_index("2")
 
-    def test_numeric_feature_rejects_categories(self):
-        with pytest.raises(ConfigError):
-            FeatureSpec("a", "numeric", categories=("x",))
-
 
 class TestDataset:
     def test_row_and_instance_lookup(self):
         ds = small_dataset()
         assert ds.row_of(12) == 2
-        inst = ds.instance(12)
-        assert inst.label == 1
-        assert np.array_equal(inst.features, [2.0, 2.0])
+        assert ds.labels[2] == 1
+        assert np.array_equal(ds.features[2], [2.0, 2.0])
         with pytest.raises(DataError):
             ds.row_of(99)
 
@@ -266,20 +261,11 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="empty dataset"):
             load_csv(path, numeric_schema(2))
 
-    def test_nominal_first_appearance_encoding(self, tmp_path):
+    def test_categorical_column_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text("red,0\nblue,1\nred,0\n")
-        schema = Schema((FeatureSpec("c", NOMINAL),), ("0", "1"))
-        loaded = load_csv(path, schema)
-        assert loaded.features[:, 0].tolist() == [0.0, 1.0, 0.0]
-        assert loaded.schema.features[0].categories == ("red", "blue")
-
-    def test_frozen_categories_reject_unknown(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("red,0\npurple,1\n")
-        schema = Schema((FeatureSpec("c", NOMINAL, categories=("red", "blue")),), ("0", "1"))
-        with pytest.raises(DataError, match="purple"):
-            load_csv(path, schema)
+        path.write_text("x,colour,label\n1.5,red,0\n2.5,blue,1\n")
+        with pytest.raises(DataError, match="row 2, column 'colour': not a number: 'red'"):
+            load_csv(path, Schema(("x", "colour"), ("0", "1")))
 
 
 class TestInferSchema:
@@ -287,16 +273,17 @@ class TestInferSchema:
         path = tmp_path / "d.csv"
         path.write_text("a,b,label\n1.0,2.0,0\n2.0,3.0,1\n")
         schema = infer_schema(path)
-        assert [f.name for f in schema.features] == ["a", "b"]
-        assert schema.all_numeric
+        assert schema.features == ("a", "b")
         assert schema.class_labels == ("0", "1")
 
     def test_nominal_column_detected(self, tmp_path):
+        # and refused, naming the row and the column of its first cell
         path = tmp_path / "d.csv"
-        path.write_text("1.0,red,0\n2.0,blue,1\n")
-        schema = infer_schema(path)
-        assert schema.kinds == ("numeric", "nominal")
-        assert [f.name for f in schema.features] == ["f0", "f1"]
+        for text, where in [("1.0,red,0\n2.0,blue,1\n", "row 1, column 'f1'"),
+                            ("a,b,label\n1.0,2.0,0\n\n2.0,blue,1\n", "row 4, column 'b'")]:
+            path.write_text(text)
+            with pytest.raises(DataError, match=f"{where}: not a number"):
+                infer_schema(path)
 
     def test_label_count_checked(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -311,33 +298,8 @@ class TestInferSchema:
             infer_schema(path)
 
 
-class TestTransformNominal:
-    def test_numeric_input_is_identity(self):
-        ds = random_dataset(5, 2, seed=9)
-        assert transform_nominal(ds) is ds
-
-    def test_nominal_values_pass_through_and_kinds_flip(self):
-        ds = mixed_dataset(8, seed=10)
-        out = transform_nominal(ds)
-        assert out.schema.all_numeric
-        assert np.array_equal(out.features, ds.features)
-        assert np.array_equal(out.labels, ds.labels)
-
-    def test_idempotent(self):
-        out = transform_nominal(mixed_dataset(8, seed=11))
-        assert transform_nominal(out) is out
-
-    def test_first_appearance_contract_via_csv(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("red,1.5,0\nblue,2.5,1\nred,3.5,0\n")
-        schema = Schema((FeatureSpec("c", NOMINAL), FeatureSpec("x")), ("0", "1"))
-        out = transform_nominal(load_csv(path, schema))
-        assert out.features[:, 0].tolist() == [0.0, 1.0, 0.0]
-        assert out.features[:, 1].tolist() == [1.5, 2.5, 3.5]
-
-
 def test_pidd_schema_shape():
     schema = pidd_schema()
     assert schema.arity == 8
     assert schema.class_labels == ("0", "1")
-    assert schema.all_numeric
+    assert schema.features[0] == "Pregnancies"

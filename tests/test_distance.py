@@ -24,18 +24,16 @@ from ecoamlp.distance import (
 )
 from ecoamlp.errors import ConfigError
 
-from synth import mixed_dataset
-
 
 class TestParse:
     def test_known_names(self):
         assert Measure.parse("euclidean") is Measure.EUCLIDEAN
         assert Measure.parse(" Correlation ") is Measure.CORRELATION
-        assert Measure.parse("MIXED") is Measure.MIXED
 
     def test_unknown_name(self):
-        with pytest.raises(ConfigError, match="unknown measure"):
-            Measure.parse("cosine")
+        for name in ("cosine", "mixed"):
+            with pytest.raises(ConfigError, match="choose from: euclidean, correlation\\)"):
+                Measure.parse(name)
 
 
 class TestEuclidean:
@@ -85,46 +83,20 @@ class TestCorrelation:
             distance([1.0], [2.0], Measure.CORRELATION)
 
 
-class TestMixed:
-    def test_numeric_plus_mismatch_count(self):
-        kinds = ("numeric", "nominal", "nominal")
-        a = [0.0, 1.0, 2.0]
-        b = [3.0, 1.0, 0.0]
-        assert distance(a, b, Measure.MIXED, kinds) == 4.0  # |0-3| + 0 + 1
-
-    def test_requires_kinds(self):
-        with pytest.raises(ConfigError, match="kind"):
-            distance([1.0], [2.0], Measure.MIXED)
-
-    def test_kind_length_checked(self):
-        with pytest.raises(ConfigError, match="length"):
-            distance([1.0, 2.0], [2.0, 3.0], Measure.MIXED, kinds=("numeric",))
-
-    def test_matches_oracle_on_mixed_dataset(self):
-        ds = mixed_dataset(12, seed=3)
-        kinds = ds.schema.kinds
-        for i in range(len(ds)):
-            for j in range(len(ds)):
-                got = distance(ds.features[i], ds.features[j], Measure.MIXED, kinds)
-                want = oracles.mixed_distance(ds.features[i], ds.features[j], kinds)
-                assert got == pytest.approx(want, abs=1e-12)
-
-
 @pytest.mark.parametrize("measure", list(Measure))
 class TestCommonProperties:
     def test_symmetry_and_identity(self, measure):
         rng = np.random.default_rng(4)
-        kinds = ("numeric", "nominal", "numeric", "nominal")
         for _ in range(50):
             a = rng.normal(size=4)
             b = np.where(rng.random(4) < 0.3, a, rng.normal(size=4))
-            assert distance(a, b, measure, kinds) == distance(b, a, measure, kinds)
-            assert distance(a, a, measure, kinds) == 0.0
-            assert distance(a, b, measure, kinds) >= 0.0
+            assert distance(a, b, measure) == distance(b, a, measure)
+            assert distance(a, a, measure) == 0.0
+            assert distance(a, b, measure) >= 0.0
 
     def test_length_mismatch_rejected(self, measure):
         with pytest.raises(ValueError, match="mismatch"):
-            distance([1.0, 2.0], [1.0, 2.0, 3.0], measure, ("numeric",) * 3)
+            distance([1.0, 2.0], [1.0, 2.0, 3.0], measure)
 
 
 class TestVectorizedPaths:
@@ -159,10 +131,6 @@ class TestVectorizedPaths:
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
 
-def mixed_kinds(d):
-    return tuple("nominal" if c % 3 == 1 else "numeric" for c in range(d))
-
-
 @st.composite
 def feature_matrices(draw, d=None):
     """Rows with ties, duplicates, sign-of-zero twins and constant rows.
@@ -193,8 +161,7 @@ def feature_matrices(draw, d=None):
 
 
 def scalar_reference(Q, X, pairs, measure):
-    kinds = mixed_kinds(X.shape[1])
-    return np.array([distance(Q[i], X[j], measure, kinds) for i, j in pairs])
+    return np.array([distance(Q[i], X[j], measure) for i, j in pairs])
 
 
 def sample_pairs(m, X, seed, measure, size=150):
@@ -221,7 +188,7 @@ class TestBlockedMatrix:
     @PROPERTY_SETTINGS
     @given(X=feature_matrices())
     def test_pairwise_equals_scalar_distance_bit_for_bit(self, measure, X):
-        D = pairwise_distances(X, measure, mixed_kinds(X.shape[1]))
+        D = pairwise_distances(X, measure)
         pairs = sample_pairs(len(X), X, len(X), measure)
         got = np.array([D[i, j] for i, j in pairs])
         assert np.array_equal(bits(got), bits(scalar_reference(X, X, pairs, measure)))
@@ -233,7 +200,7 @@ class TestBlockedMatrix:
         Q = data.draw(feature_matrices(d=X.shape[1]))
         shared = min(len(Q), len(X)) // 2
         Q[:shared] = X[:shared]
-        D = cross_distances(Q, X, measure, mixed_kinds(X.shape[1]))
+        D = cross_distances(Q, X, measure)
         assert D.shape == (len(Q), len(X))
         pairs = sample_pairs(len(Q), X, len(Q), measure)
         got = np.array([D[i, j] for i, j in pairs])
@@ -242,7 +209,7 @@ class TestBlockedMatrix:
     @PROPERTY_SETTINGS
     @given(X=feature_matrices())
     def test_symmetric_zero_diagonal_equal_and_constant_rows(self, measure, X):
-        D = pairwise_distances(X, measure, mixed_kinds(X.shape[1]))
+        D = pairwise_distances(X, measure)
         assert np.array_equal(bits(D), bits(D.T))
         assert np.array_equal(bits(np.diag(D)), bits(np.zeros(len(X))))
         assert np.all(D >= 0.0)
@@ -335,11 +302,10 @@ class TestBlockLayout:
     @pytest.mark.parametrize("measure", list(Measure))
     def test_column_major_input_gives_the_same_bits(self, measure):
         X = np.random.default_rng(9).normal(size=(40, 7))
-        kinds = mixed_kinds(7)
-        want = pairwise_distances(X, measure, kinds)
-        got = pairwise_distances(np.asfortranarray(X), measure, kinds)
+        want = pairwise_distances(X, measure)
+        got = pairwise_distances(np.asfortranarray(X), measure)
         assert np.array_equal(bits(got), bits(want))
-        assert bits(want[3, 5]) == bits(distance(X[3], X[5], measure, kinds))
+        assert bits(want[3, 5]) == bits(distance(X[3], X[5], measure))
 
     def test_blocks_leave_no_reference_cycles(self):
         # a cycle would hold each call's block buffers until the collector runs
@@ -348,7 +314,7 @@ class TestBlockLayout:
         gc.disable()
         try:
             for measure in Measure:
-                pairwise_distances(X, measure, mixed_kinds(130))
+                pairwise_distances(X, measure)
             nearest_neighbours(pairwise_distances(X), np.arange(300), 5, exclude_self=True)
             assert gc.collect() == 0
         finally:

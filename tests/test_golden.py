@@ -24,7 +24,7 @@ from ecoamlp.data import SplitSpec, split
 from ecoamlp.distance import Measure, cross_distances, pairwise_distances
 from ecoamlp.harness import ClassifierConfig, ExperimentConfig, run_experiment
 
-from synth import mixed_dataset, random_dataset
+from synth import random_dataset
 
 
 def _json_digest(obj) -> str:
@@ -71,16 +71,12 @@ OUTLIER_GOLDEN = {
     ("codb", "euclidean"): "aa832e7114868779dbf650e1eb33407375740b9eeda8f7760138e9df753e0b07",
     ("ecodb", "correlation"): "bd28cce185e915b74636743cb084e9a432826132fcfd8f81938ba6955e26b465",
     ("ecodb", "euclidean"): "fc3b5e6e11379c30ea711308ec535173262bc963e668bd56f23002d9f26b40f2",
-    ("ecodb", "mixed"): "f87808ef0c5f3ecf6f492cd4fe5c7cd006700a676a9cf85cc463b52f9c48745b",
 }
 
 
 @pytest.mark.parametrize("algorithm,measure", sorted(OUTLIER_GOLDEN))
 def test_outlier_ranking(algorithm, measure):
-    if measure == "mixed":
-        ds = mixed_dataset(70, seed=5)
-    else:
-        ds = random_dataset(80, 5, seed=4, separation=1.0)
+    ds = random_dataset(80, 5, seed=4, separation=1.0)
     detect = ecodb_detect if algorithm == "ecodb" else codb_detect
     report = detect(ds, OutlierParams(k=6, n_outliers=12, measure=Measure.parse(measure),
                                       alpha=10.0, beta=0.5))

@@ -12,7 +12,8 @@ import pytest
 from ecoamlp.automlp import AutoMlpParams
 from ecoamlp.baselines import Preprocessor
 from ecoamlp.class_outlier import OutlierParams
-from ecoamlp.data import SplitSpec, split, transform_nominal
+import ecoamlp.harness as harness
+from ecoamlp.data import SplitSpec, split
 from ecoamlp.errors import ConfigError
 from ecoamlp.harness import (
     ClassifierConfig,
@@ -30,11 +31,12 @@ from ecoamlp.harness import (
     run_experiment,
     run_repeat,
     run_sweep,
+    split_repeat,
     write_run_report,
 )
 from ecoamlp.metrics import report, ConfusionMatrix
 
-from synth import mixed_dataset, random_dataset, write_csv
+from synth import random_dataset, write_csv
 
 TINY_AUTOMLP = AutoMlpParams(ensemble_size=2, cycles_per_generation=1,
                              generations=1, hidden_range=(2, 4),
@@ -113,6 +115,12 @@ class TestConfig:
             config_from_json_obj({"repeats": "ten"})
         with pytest.raises(ConfigError, match="split.seed"):
             config_from_json_obj({"split": {"seed": None}})
+
+    def test_mixed_measure_rejected(self):
+        for obj in ({"preprocessor": {"outlier": {"measure": "mixed"}}},
+                    {"classifier": {"knn_measure": "mixed"}}):
+            with pytest.raises(ConfigError, match="choose from: euclidean, correlation\\)"):
+                config_from_json_obj(obj)
 
     @pytest.mark.parametrize("key", ["split.stratified", "classifier.automlp.warm_start",
                                      "evaluate_on_train"])
@@ -232,18 +240,24 @@ class TestFitAndEvaluate:
         assert raw == cooked
 
 
+def repeat(dataset, config, index):
+    return run_repeat(split_repeat(dataset, config, index), config, index)
+
+
 class TestRunRepeat:
     def test_split_seed_offsets_by_repeat(self, dataset):
         config = knn_config()
-        r0 = run_repeat(dataset, config, 0)
-        r2 = run_repeat(dataset, config, 2)
+        r0 = repeat(dataset, config, 0)
+        r2 = repeat(dataset, config, 2)
         assert r0.split_seed == 3
         assert r2.split_seed == 5
+        parts = split_repeat(dataset, config, 2)
+        assert parts.test.ids.tolist() == split(dataset, SplitSpec(seed=5)).test.ids.tolist()
 
     def test_sizes_follow_split_and_preprocessor(self, dataset):
         config = knn_config(preprocessor=Preprocessor(kind="stratified",
                                                       fraction=0.5))
-        result = run_repeat(dataset, config, 0)
+        result = repeat(dataset, config, 0)
         assert result.n_train == round(0.5 * 84)
         assert result.n_validation == 18
         assert result.n_test == 18
@@ -252,7 +266,7 @@ class TestRunRepeat:
         config = knn_config(
             preprocessor=Preprocessor(kind="ecodb",
                                       outlier=OutlierParams(k=5, n_outliers=3)))
-        result = run_repeat(dataset, config, 0)
+        result = repeat(dataset, config, 0)
         assert result.outliers is not None
         obj = result.to_json_obj()
         assert len(obj["outliers"]["outliers"]) == 3
@@ -260,7 +274,7 @@ class TestRunRepeat:
     def test_automlp_history_attached(self, dataset):
         config = knn_config(
             classifier=ClassifierConfig(kind="automlp", automlp=TINY_AUTOMLP))
-        result = run_repeat(dataset, config, 0)
+        result = repeat(dataset, config, 0)
         obj = result.to_json_obj()
         assert set(obj["winner"]) == {"hidden_units", "learning_rate",
                                       "validation_error"}
@@ -268,7 +282,7 @@ class TestRunRepeat:
         assert len(obj["automlp_history"][0]) == 2
 
     def test_knn_repeat_has_no_automlp_fields(self, dataset):
-        obj = run_repeat(dataset, knn_config(), 0).to_json_obj()
+        obj = repeat(dataset, knn_config(), 0).to_json_obj()
         assert "winner" not in obj
         assert "automlp_history" not in obj
         assert "outliers" not in obj
@@ -278,7 +292,7 @@ class TestRunRepeat:
             classifier=ClassifierConfig(kind="knn", knn_k=1),
             evaluate_on_train=True,
         )
-        result = run_repeat(dataset, config, 0)
+        result = repeat(dataset, config, 0)
         assert result.test.accuracy == 1.0
         assert result.n_test == result.n_train
 
@@ -325,17 +339,6 @@ class TestRunExperiment:
         histories = [r.automlp_history for r in rep.repeats]
         assert histories[0] != histories[1]
 
-    def test_writes_reports_when_output_dir_set(self, dataset, tmp_path):
-        out = tmp_path / "results"
-        config = knn_config(output_dir=str(out))
-        rep = run_experiment(config, dataset=dataset)
-        loaded = json.loads((out / "report.json").read_text())
-        assert loaded == rep.to_json_obj()
-        text = (out / "report.txt").read_text()
-        assert "test medians" in text
-        assert "repeat 0 test" in text
-        assert not list(out.glob("*.tmp"))
-
     def test_missing_data_path_rejected(self):
         with pytest.raises(ConfigError, match="data_path"):
             run_experiment(knn_config())
@@ -349,11 +352,6 @@ class TestRunExperiment:
         assert loaded.n_features == 2
         rep = run_experiment(config)
         assert rep.repeats[0].n_train == 42
-
-    def test_nominal_features_are_encoded_for_knn(self):
-        ds = mixed_dataset(80, seed=6)
-        rep = run_experiment(knn_config(), dataset=ds)
-        assert 0.0 <= rep.repeats[0].test.accuracy <= 1.0
 
     def test_aggregates_cover_validation_and_test(self, dataset):
         rep = run_experiment(knn_config(repeats=2), dataset=dataset)
@@ -415,13 +413,27 @@ class TestSweep:
         with pytest.raises(ConfigError):
             run_sweep(knn_config(), "classifier", ("knn", "svm"), dataset=dataset)
 
-    def test_writes_sweep_files(self, dataset, tmp_path):
-        out = tmp_path / "sweepdir"
-        config = knn_config(output_dir=str(out))
-        sweep = run_sweep(config, "classifier", ("knn", "nb"), dataset=dataset)
-        loaded = json.loads((out / "sweep.json").read_text())
-        assert loaded == sweep.to_json_obj()
-        assert "sweep over classifier" in (out / "sweep.txt").read_text()
+    def test_each_repeat_is_split_once(self, dataset, monkeypatch):
+        variants = ("none", "ztransform", "bootstrap", "stratified", "ecodb")
+        config = knn_config(repeats=10, preprocessor=Preprocessor(
+            outlier=OutlierParams(k=5, n_outliers=5)))
+        seeds = []
+        real_split = harness.split
+
+        def counting_split(ds, spec):
+            seeds.append(spec.seed)
+            return real_split(ds, spec)
+
+        monkeypatch.setattr(harness, "split", counting_split)
+        sweep = run_sweep(config, "preprocessor", variants, dataset=dataset)
+        assert seeds == list(range(3, 13))
+        # each variant's run is what the variant gives when it splits alone
+        for v in variants:
+            alone = run_experiment(dataclasses.replace(
+                config, preprocessor=dataclasses.replace(config.preprocessor, kind=v)),
+                dataset=dataset)
+            assert json.dumps(sweep.runs[v].to_json_obj(include_timestamp=False)) == \
+                json.dumps(alone.to_json_obj(include_timestamp=False))
 
     def test_sweep_json_omits_per_run_timestamps(self, dataset):
         sweep = run_sweep(knn_config(), "classifier", ("knn",), dataset=dataset)
