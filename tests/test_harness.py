@@ -33,6 +33,7 @@ from ecoamlp.harness import (
     run_sweep,
     split_repeat,
     write_run_report,
+    write_sweep_report,
 )
 from ecoamlp.metrics import report, ConfusionMatrix
 
@@ -339,6 +340,21 @@ class TestRunExperiment:
         histories = [r.automlp_history for r in rep.repeats]
         assert histories[0] != histories[1]
 
+    def test_writes_reports_when_output_dir_set(self, dataset, tmp_path):
+        # the harness only returns the report; its writer puts it at output_dir
+        out = tmp_path / "results"
+        config = knn_config(output_dir=str(out))
+        rep = run_experiment(config, dataset=dataset)
+        assert not out.exists()
+        assert rep.config.output_dir == str(out)
+        write_run_report(rep, rep.config.output_dir)
+        loaded = json.loads((out / "report.json").read_text())
+        assert loaded == rep.to_json_obj()
+        text = (out / "report.txt").read_text()
+        assert "test medians" in text
+        assert "repeat 0 test" in text
+        assert not list(out.glob("*.tmp"))
+
     def test_missing_data_path_rejected(self):
         with pytest.raises(ConfigError, match="data_path"):
             run_experiment(knn_config())
@@ -412,6 +428,18 @@ class TestSweep:
             run_sweep(knn_config(), "classifier", ("knn", "knn"), dataset=dataset)
         with pytest.raises(ConfigError):
             run_sweep(knn_config(), "classifier", ("knn", "svm"), dataset=dataset)
+
+    def test_writes_sweep_files(self, dataset, tmp_path):
+        # the sweep only returns its report; its writer puts it at output_dir
+        out = tmp_path / "sweepdir"
+        config = knn_config(output_dir=str(out))
+        sweep = run_sweep(config, "classifier", ("knn", "nb"), dataset=dataset)
+        assert not out.exists()
+        write_sweep_report(sweep, config.output_dir)
+        loaded = json.loads((out / "sweep.json").read_text())
+        assert loaded == sweep.to_json_obj()
+        assert "sweep over classifier" in (out / "sweep.txt").read_text()
+        assert not list(out.glob("*.tmp"))
 
     def test_each_repeat_is_split_once(self, dataset, monkeypatch):
         variants = ("none", "ztransform", "bootstrap", "stratified", "ecodb")
