@@ -21,7 +21,6 @@ from .data import (
     DataSplit,
     Schema,
     SplitSpec,
-    infer_schema,
     load_csv,
     pidd_schema,
     split,
@@ -31,7 +30,6 @@ from .errors import ConfigError, DataError
 from .harness import (
     ClassifierConfig,
     ExperimentConfig,
-    load_config,
     run_experiment,
     run_sweep,
 )
@@ -67,9 +65,7 @@ __all__ = [
     "ecodb_detect",
     "evaluate",
     "fit_automlp",
-    "infer_schema",
     "init_network",
-    "load_config",
     "load_csv",
     "naive_bayes_fit",
     "pairwise_distances",

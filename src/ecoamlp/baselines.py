@@ -93,8 +93,7 @@ def ztransform_fit(train: Dataset) -> ZTransform:
 def bootstrap_sample(train: Dataset, fraction: float = 1.0, seed: int = 0) -> Dataset:
     """Sample round(fraction * n) instances with replacement.
 
-    Drawn rows get fresh sequential ids (duplicates must stay distinct);
-    the originals are kept in ``source_ids``.
+    Drawn rows get fresh sequential ids (duplicates must stay distinct).
     """
     _check_fraction(fraction)
     n = len(train)
@@ -102,13 +101,7 @@ def bootstrap_sample(train: Dataset, fraction: float = 1.0, seed: int = 0) -> Da
         raise DataError("cannot sample from an empty dataset")
     m = round_half_up(fraction * n)
     rows = np.random.default_rng(seed).integers(0, n, size=m)
-    return Dataset(
-        train.schema,
-        train.features[rows],
-        train.labels[rows],
-        np.arange(m, dtype=np.int64),
-        source_ids=tuple(int(train.ids[r]) for r in rows),
-    )
+    return Dataset(train.schema, train.features[rows], train.labels[rows], np.arange(m))
 
 
 def stratified_sample(train: Dataset, fraction: float = 0.9, seed: int = 0) -> Dataset:

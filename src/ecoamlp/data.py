@@ -5,10 +5,11 @@ File format
 Comma-separated values, decimal-point reals, one instance per row with the
 class label in the final column. Every feature cell is a finite number; a
 table with a categorical column is refused, naming the row and the column
-of its first non-numeric cell. An optional single header line is
-auto-detected: the first row is treated as a header if and only if it fails
-to parse under the schema (a feature cell that is not a finite number, or a
-label outside the schema's class labels).
+of its first non-numeric cell. One rule finds a header, with or without a
+schema: the first row is one when one of its feature cells is not a number
+but every later row holds a number in that column, or when it is the only
+row. So a bad label or a missing column in a numeric first row of several
+is an error naming row 1, never a dropped header.
 
 Split reproducibility
 ---------------------
@@ -57,12 +58,6 @@ class Schema:
     def arity(self) -> int:
         return len(self.features)
 
-    def label_index(self, label: str) -> int:
-        try:
-            return self.class_labels.index(label)
-        except ValueError:
-            raise DataError(f"unknown class label {label!r}") from None
-
 
 class Dataset:
     """Immutable table of instances conforming to one schema.
@@ -77,7 +72,6 @@ class Dataset:
         features: np.ndarray,
         labels: np.ndarray,
         ids: np.ndarray,
-        source_ids: Optional[Tuple[int, ...]] = None,
     ):
         features = np.ascontiguousarray(features, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
@@ -102,7 +96,6 @@ class Dataset:
         self.features = features
         self.labels = labels
         self.ids = ids
-        self.source_ids = source_ids
         self._row_of = {int(i): r for r, i in enumerate(ids)}
 
     def __len__(self) -> int:
@@ -122,15 +115,9 @@ class Dataset:
         counts = np.bincount(self.labels, minlength=2)
         return int(counts[0]), int(counts[1])
 
-    def take_rows(self, rows: Sequence[int], source_ids=None) -> "Dataset":
+    def take_rows(self, rows: Sequence[int]) -> "Dataset":
         rows = list(rows)
-        return Dataset(
-            self.schema,
-            self.features[rows],
-            self.labels[rows],
-            self.ids[rows],
-            source_ids=source_ids,
-        )
+        return Dataset(self.schema, self.features[rows], self.labels[rows], self.ids[rows])
 
     def drop_ids(self, drop: Sequence[int]) -> "Dataset":
         """Survivors in original order; every id in ``drop`` must exist."""
@@ -153,8 +140,7 @@ class Dataset:
         return Dataset(schema, self.features[:, keep], self.labels, self.ids)
 
     def with_feature_matrix(self, features: np.ndarray) -> "Dataset":
-        return Dataset(self.schema, features, self.labels, self.ids,
-                       source_ids=self.source_ids)
+        return Dataset(self.schema, features, self.labels, self.ids)
 
 
 @dataclass(frozen=True)
@@ -262,35 +248,47 @@ def _stratified_segments(dataset, order, n_val, n_test):
     return train_ids, val_ids, test_ids
 
 
-def load_csv(path, schema: Schema) -> Dataset:
+def load_csv(path, schema: Optional[Schema] = None) -> Dataset:
     """Read ``path`` as instances of ``schema``; ids follow row order.
 
+    Without a schema the table names it: one feature per column but the
+    last (named by the header, else f0, f1, ...), and the two distinct
+    values of the last column as class labels, in ascending string order.
     Raises :class:`DataError` naming the 1-based file line and the column
     for any malformed cell. Blank cells are rejected, never imputed.
     """
     path = Path(path)
     rows = _read_rows(path)
-    if rows and _row_fails(rows[0][1], schema):
-        rows = rows[1:]
     if not rows:
         raise DataError(f"{path}: empty dataset")
-
-    features = np.empty((len(rows), schema.arity), dtype=np.float64)
-    labels = np.empty(len(rows), dtype=np.int64)
-    for out_row, (lineno, row) in enumerate(rows):
-        if len(row) != schema.arity + 1:
+    width = schema.arity + 1 if schema else len(rows[0][1])
+    if width < 2:
+        raise DataError(f"{path}: need at least one feature column plus a label")
+    features = np.empty((len(rows), width - 1))
+    numeric = [_parse_into(out, row) for out, (_, row) in zip(features, rows)]
+    names = tuple(f"f{i}" for i in range(width - 1))
+    if _is_header(rows, numeric, width - 1):
+        names = tuple(cell.strip() for cell in rows[0][1][:-1])
+        rows, numeric, features = rows[1:], numeric[1:], features[1:]
+    if not rows:
+        raise DataError(f"{path}: empty dataset")
+    if schema:
+        names = schema.features
+    cells = [row[-1].strip() for _, row in rows]
+    for (lineno, row), ok, cell in zip(rows, numeric, cells):
+        if len(row) != width:
+            raise DataError(f"{path}: row {lineno} has {len(row)} columns, expected {width}")
+        if not ok:
+            _raise_cell_error(path, lineno, names, row)
+        if schema and cell not in schema.class_labels:
             raise DataError(
-                f"{path}: row {lineno} has {len(row)} columns, "
-                f"expected {schema.arity + 1}"
-            )
-        features[out_row] = _feature_values(path, lineno, schema.features, row)
-        label_cell = row[schema.arity].strip()
-        if label_cell not in schema.class_labels:
-            raise DataError(
-                f"{path}: row {lineno}, column 'label': "
-                f"unknown class label {label_cell!r}"
-            )
-        labels[out_row] = schema.class_labels.index(label_cell)
+                f"{path}: row {lineno}, column 'label': unknown class label {cell!r}")
+    if schema is None:
+        found = sorted(set(cells))
+        if len(found) != 2:
+            raise DataError(f"{path}: expected exactly 2 class labels, found {len(found)}")
+        schema = Schema(names, (found[0], found[1]))
+    labels = [schema.class_labels.index(cell) for cell in cells]
     return Dataset(schema, features, labels, np.arange(len(rows)))
 
 
@@ -303,17 +301,33 @@ def _read_rows(path: Path) -> List[Tuple[int, List[str]]]:
                 if row and any(cell.strip() for cell in row)]
 
 
-def _feature_values(path: Path, lineno: int, names: Sequence[str],
-                    row: List[str]) -> List[float]:
-    """The finite numbers in a row's feature cells (the first ``len(names)``
-    cells); a :class:`DataError` naming the row and the column of the first
-    cell that holds none."""
+def _parse_into(out: np.ndarray, row: List[str]) -> bool:
+    """Write the first ``len(out)`` cells of ``row`` into ``out`` as floats;
+    False, writing nothing, when any is missing or not a finite number."""
     try:
-        values = [float(cell) for cell in row[:len(names)]]
-        if all(map(math.isfinite, values)):
-            return values
+        values = [float(cell) for cell in row[:len(out)]]
     except ValueError:
-        pass
+        return False
+    if len(values) != len(out) or not all(map(math.isfinite, values)):
+        return False
+    out[:] = values
+    return True
+
+
+def _is_header(rows, numeric: List[bool], n: int) -> bool:
+    """The header rule of the module docstring; ``numeric`` marks the rows
+    whose first ``n`` cells are all finite numbers."""
+    first = rows[0][1]
+    return len(rows) == 1 or (not numeric[0] and any(
+        c < len(first) and not _is_number(first[c])
+        and all(ok or (c < len(row) and _is_number(row[c]))
+                for (_, row), ok in zip(rows[1:], numeric[1:]))
+        for c in range(n)))
+
+
+def _raise_cell_error(path: Path, lineno: int, names: Sequence[str], row: List[str]):
+    """A :class:`DataError` naming the row and the column of the first
+    feature cell that holds no finite number."""
     name, cell = next((n, c.strip()) for n, c in zip(names, row) if not _is_number(c))
     try:
         float(cell)
@@ -325,54 +339,9 @@ def _feature_values(path: Path, lineno: int, names: Sequence[str],
 
 def _is_number(cell: str) -> bool:
     try:
-        return math.isfinite(float(cell.strip()))
+        return math.isfinite(float(cell))
     except ValueError:
         return False
-
-
-def _row_fails(row: List[str], schema: Schema) -> bool:
-    if len(row) != schema.arity + 1:
-        return True
-    if not all(_is_number(cell) for cell in row[:schema.arity]):
-        return True
-    return row[schema.arity].strip() not in schema.class_labels
-
-
-def infer_schema(path) -> Schema:
-    """Guess a schema from a CSV: one feature per column but the last,
-    labels = the two distinct values of the last column in ascending
-    string order.
-
-    The first row counts as a header when a feature column holds numbers
-    in every other row but not in the first. Every feature cell below the
-    header must be a finite number; a :class:`DataError` names the row and
-    the column of the first that is not.
-    """
-    path = Path(path)
-    rows = _read_rows(path)
-    if not rows:
-        raise DataError(f"{path}: empty dataset")
-    first = rows[0][1]
-    width = len(first)
-    if width < 2:
-        raise DataError(f"{path}: need at least one feature column plus a label")
-    if any(len(r) != width for _, r in rows):
-        raise DataError(f"{path}: inconsistent column counts")
-
-    header = len(rows) > 1 and any(
-        not _is_number(first[c]) and all(_is_number(r[c]) for _, r in rows[1:])
-        for c in range(width - 1)
-    )
-    if header:
-        names, body = tuple(c.strip() for c in first[:-1]), rows[1:]
-    else:
-        names, body = tuple(f"f{i}" for i in range(width - 1)), rows
-    for lineno, row in body:
-        _feature_values(path, lineno, names, row)
-    labels = sorted({r[-1].strip() for _, r in body})
-    if len(labels) != 2:
-        raise DataError(f"{path}: expected exactly 2 class labels, found {len(labels)}")
-    return Schema(names, (labels[0], labels[1]))
 
 
 PIDD_FEATURES = (

@@ -14,7 +14,8 @@ variant on the same parts.
 
 ``CONFIG_FIELDS`` is the only description of the config's shape: its JSON
 form, its validation and the CLI's flags all derive from that table, and
-defaults live only in the section dataclasses.
+defaults live only in the section dataclasses. The JSON holds each value as
+given: an unset ``preprocessor.fraction`` is ``null``, never its default.
 
 Reports serialise to JSON (stable key order; the timestamp is the only
 field that varies between identical runs) and to an aligned text table.
@@ -52,10 +53,10 @@ from .class_outlier import (
     ecodb_detect,
     remove_outliers,
 )
-from .data import Dataset, DataSplit, SplitSpec, infer_schema, load_csv, pidd_schema, split
+from .data import Dataset, DataSplit, SplitSpec, load_csv, pidd_schema, split
 from .distance import Measure
 from .errors import ConfigError
-from .metrics import EvalReport, evaluate, format_table
+from .metrics import EvalReport, align_table, evaluate, format_table
 
 CLASSIFIER_KINDS = ("automlp", "knn", "nb")
 SCHEMA_NAMES = ("infer", "pidd")
@@ -109,13 +110,19 @@ def json_bool(value) -> bool:
     return value
 
 
+def optional_float(value) -> Optional[float]:
+    """A JSON number, or null for unset; a string or a bool is refused, not cast."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ValueError(f"expected a number or null, got {json.dumps(value)}")
+    return value if value is None else float(value)
+
+
 class ConfigField(NamedTuple):
     """One experiment setting: its JSON key, dataclass attribute and CLI flag.
 
     ``convert`` turns a JSON (or flag) value into the attribute's value and
     is None for strings kept as they are; int and float also type the flag
     and :func:`json_bool` makes it a switch. ``options`` are extra argparse options.
-    ``read`` gives the JSON value when it is not the attribute itself.
     """
 
     key: str
@@ -123,7 +130,6 @@ class ConfigField(NamedTuple):
     flag: str
     convert: Optional[Callable] = None
     options: dict = {}
-    read: Optional[Callable] = None
 
 
 CONFIG_SECTIONS = {
@@ -153,9 +159,8 @@ CONFIG_FIELDS = (
     ConfigField("split.stratified", "stratified", "--stratified", json_bool),
     ConfigField("preprocessor.kind", "kind", "--preprocessor",
                 options={"choices": PREPROCESSOR_KINDS}),
-    ConfigField("preprocessor.fraction", "fraction", "--fraction", float,
-                {"help": "sampling fraction for bootstrap/stratified"},
-                read=Preprocessor.effective_fraction),
+    ConfigField("preprocessor.fraction", "fraction", "--fraction", optional_float,
+                {"type": float, "help": "sampling fraction for bootstrap/stratified"}),
     ConfigField("preprocessor.seed", "seed", "--preprocessor-seed", int),
     ConfigField("preprocessor.outlier.k", "k", "--outlier-k", int),
     ConfigField("preprocessor.outlier.n_outliers", "n_outliers", "--n-outliers", int),
@@ -198,7 +203,7 @@ def config_to_json_obj(config: ExperimentConfig) -> dict:
         for part in path:
             section = section.setdefault(part, {})
             source = getattr(source, part)
-        value = f.read(source) if f.read else getattr(source, f.attr)
+        value = getattr(source, f.attr)
         if isinstance(value, Measure):
             value = value.value
         section[name] = list(value) if isinstance(value, tuple) else value
@@ -260,10 +265,6 @@ def read_config_json(path) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return obj
-
-
-def load_config(path) -> ExperimentConfig:
-    return config_from_json_obj(read_config_json(path))
 
 
 @dataclasses.dataclass
@@ -502,8 +503,7 @@ def run_repeat(parts: DataSplit, config: ExperimentConfig, repeat_index: int) ->
 def load_dataset(config: ExperimentConfig) -> Dataset:
     if not config.data_path:
         raise ConfigError("no dataset configured: set data_path (--data)")
-    schema = pidd_schema() if config.schema_name == "pidd" else infer_schema(config.data_path)
-    dataset = load_csv(config.data_path, schema)
+    dataset = load_csv(config.data_path, pidd_schema() if config.schema_name == "pidd" else None)
     if config.drop_features:
         dataset = dataset.drop_features(config.drop_features)
     return dataset
@@ -560,12 +560,7 @@ class SweepReport:
                 f"{agg['weighted_mean_precision']['median'] * 100:.2f}",
                 f"{agg['weighted_mean_recall']['median'] * 100:.2f}",
             ))
-        widths = [max(len(header[c]), *(len(r[c]) for r in body)) for c in range(len(header))]
-        lines = [f"sweep over {self.axis} (test medians)"]
-        lines.append("  ".join(h.ljust(widths[c]) for c, h in enumerate(header)))
-        lines.append("  ".join("-" * w for w in widths))
-        for r in body:
-            lines.append("  ".join(r[c].ljust(widths[c]) for c in range(len(header))))
+        lines = [f"sweep over {self.axis} (test medians)", align_table(header, body)]
         for e in self.expectations:
             status = "met" if e["met"] else "not met"
             lines.append(
@@ -632,20 +627,18 @@ def _sweep_expectations(axis: str, variants: Tuple[str, ...],
 
 
 def write_run_report(report: RunReport, out_dir) -> Tuple[Path, Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    json_path = out / "report.json"
-    text_path = out / "report.txt"
-    _write_atomic(json_path, json.dumps(report.to_json_obj(), indent=2) + "\n")
-    _write_atomic(text_path, report.to_text())
-    return json_path, text_path
+    return _write_report(report, out_dir, "report")
 
 
 def write_sweep_report(report: SweepReport, out_dir) -> Tuple[Path, Path]:
+    return _write_report(report, out_dir, "sweep")
+
+
+def _write_report(report, out_dir, stem: str) -> Tuple[Path, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    json_path = out / "sweep.json"
-    text_path = out / "sweep.txt"
+    json_path = out / f"{stem}.json"
+    text_path = out / f"{stem}.txt"
     _write_atomic(json_path, json.dumps(report.to_json_obj(), indent=2) + "\n")
     _write_atomic(text_path, report.to_text())
     return json_path, text_path

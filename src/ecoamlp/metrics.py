@@ -135,13 +135,15 @@ def format_table(rows: Sequence[Tuple[str, EvalReport]]) -> str:
                 f"{rep.weighted_mean_recall * 100:.2f}",
             )
         )
-    widths = [max(len(h), *(len(r[c]) for r in body)) if body else len(h)
-              for c, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(widths[c]) for c, h in enumerate(headers))]
-    lines.append("  ".join("-" * w for w in widths))
-    for r in body:
-        lines.append("  ".join(r[c].ljust(widths[c]) for c in range(len(headers))))
-    return "\n".join(lines)
+    return align_table(headers, body)
+
+
+def align_table(header: Sequence[str], body: Sequence[Sequence[str]]) -> str:
+    """Left-aligned columns two spaces apart, the header over a dash rule."""
+    widths = [max([len(h), *(len(r[c]) for r in body)]) for c, h in enumerate(header)]
+    lines = [header, ["-" * w for w in widths], *body]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths))
+                     for line in lines)
 
 
 def _cell(rep: EvalReport, name: str, value: float) -> str:

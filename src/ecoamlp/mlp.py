@@ -17,16 +17,14 @@ one axis (:class:`_FlatLayers`), so networks of different widths share
 arrays with no padding or masks. No step uses BLAS: a hidden unit's input
 is a numpy sum over its own row of weights, and a network's output is a
 ``reduceat`` sum over its own units. No sum crosses networks, so a
-network trained with others ends bit for bit as it would alone;
-:func:`train_epoch` is the one-network case, and :func:`loss_gradients`
-sums the same step without applying it.
+network trained with others ends bit for bit as it would alone, and
+:func:`train_epoch` is the one-network case.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -108,33 +106,6 @@ def evaluate_error(network: MlpNetwork, dataset: Dataset) -> float:
     """Misclassification rate on a dataset."""
     preds = predict(network, dataset.features)
     return float(np.mean(preds != dataset.labels))
-
-
-def loss_gradients(
-    network: MlpNetwork,
-    X: np.ndarray,
-    y: np.ndarray,
-) -> Tuple[float, np.ndarray, np.ndarray]:
-    """Summed cross-entropy loss and its gradients at the current weights.
-
-    Sums :meth:`_FlatLayers.step`, the step that training applies, over
-    the rows without applying any update; the return is (loss,
-    d_loss/d_w_ih, d_loss/d_w_ho).
-    """
-    X = np.asarray(X, dtype=np.float64)
-    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
-    layers = _FlatLayers([network])
-    loss = 0.0
-    g_ih = np.zeros_like(network.w_ih)
-    g_ho = np.zeros_like(network.w_ho)
-    for xb, target in zip(Xb, np.asarray(y, dtype=np.float64)):
-        p, delta_out, _, h, delta_h = layers.step(xb[None, :], target)
-        p = min(max(float(p[0]), PROB_CLIP), 1.0 - PROB_CLIP)
-        loss -= target * math.log(p) + (1.0 - target) * math.log(1.0 - p)
-        g_ho[:-1] += delta_out[0] * h
-        g_ho[-1] += delta_out[0]
-        g_ih += np.outer(delta_h, xb)
-    return float(loss), g_ih, g_ho
 
 
 def train_epoch(network: MlpNetwork, dataset: Dataset, shuffle_seed: int) -> MlpNetwork:

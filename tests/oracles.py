@@ -3,13 +3,19 @@
 Everything here is written directly from the definitions with plain
 Python loops and scalar math, deliberately avoiding the package's
 vectorized code paths, so agreement between the two is evidence rather
-than tautology.
+than tautology. The exception is :func:`loss_gradients`: it sums the
+package's own training step, so that :func:`fd_gradients` checks the step
+that trains.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple, Sequence
+
+import numpy as np
+
+from ecoamlp.mlp import PROB_CLIP, _FlatLayers
 
 
 class Instance(NamedTuple):
@@ -148,6 +154,29 @@ def _sigmoid(z: float) -> float:
         return 1.0 / (1.0 + math.exp(-z))
     ez = math.exp(z)
     return ez / (1.0 + ez)
+
+
+def loss_gradients(network, X, y):
+    """Summed cross-entropy loss and its gradients at the current weights.
+
+    Sums :meth:`ecoamlp.mlp._FlatLayers.step`, the step that training
+    applies, over the rows without applying any update; the return is
+    (loss, d_loss/d_w_ih, d_loss/d_w_ho).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
+    layers = _FlatLayers([network])
+    loss = 0.0
+    g_ih = np.zeros_like(network.w_ih)
+    g_ho = np.zeros_like(network.w_ho)
+    for xb, target in zip(Xb, np.asarray(y, dtype=np.float64)):
+        p, delta_out, _, h, delta_h = layers.step(xb[None, :], target)
+        p = min(max(float(p[0]), PROB_CLIP), 1.0 - PROB_CLIP)
+        loss -= target * math.log(p) + (1.0 - target) * math.log(1.0 - p)
+        g_ho[:-1] += delta_out[0] * h
+        g_ho[-1] += delta_out[0]
+        g_ih += np.outer(delta_h, xb)
+    return float(loss), g_ih, g_ho
 
 
 def fd_gradients(loss_fn, w_ih, w_ho, h: float = 1e-5):

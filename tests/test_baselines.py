@@ -106,24 +106,23 @@ class TestBootstrap:
         ds = random_dataset(20, 3, seed=6)
         sample = bootstrap_sample(ds, seed=1)
         assert sample.ids.tolist() == list(range(20))
-        assert len(sample.source_ids) == 20
-        for row, src in enumerate(sample.source_ids):
-            origin = oracles.instance(ds, src)
-            assert np.array_equal(sample.features[row], origin.features)
-            assert sample.labels[row] == origin.label
+        # continuous features: each drawn row matches exactly one train row
+        origin = {tuple(inst.features): inst.label for inst in oracles.instances(ds)}
+        for row in range(20):
+            assert origin[tuple(sample.features[row])] == sample.labels[row]
 
     def test_determinism_and_seed_sensitivity(self):
         ds = random_dataset(30, 3, seed=7)
         a = bootstrap_sample(ds, seed=5)
         b = bootstrap_sample(ds, seed=5)
         c = bootstrap_sample(ds, seed=6)
-        assert a.source_ids == b.source_ids
-        assert a.source_ids != c.source_ids
+        assert np.array_equal(a.features, b.features)
+        assert not np.array_equal(a.features, c.features)
 
     def test_with_replacement_distinct_fraction(self):
         # E[distinct/n] = 1 - (1 - 1/n)^n; check the Monte-Carlo mean
         ds = random_dataset(50, 2, seed=8)
-        rates = [len(set(bootstrap_sample(ds, seed=s).source_ids)) / 50
+        rates = [len(np.unique(bootstrap_sample(ds, seed=s).features, axis=0)) / 50
                  for s in range(200)]
         expected = 1.0 - (1.0 - 1.0 / 50) ** 50
         assert np.mean(rates) == pytest.approx(expected, abs=0.05)

@@ -193,6 +193,15 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_bad_numeric_first_row_is_exit_two(self, capsys, tmp_path):
+        # all-number first rows are data, never a header to drop
+        path = tmp_path / "d.csv"
+        path.write_text("1,2,3,4,5,6,7,8,maybe\n1,2,3,4,5,6,7,8,0\n8,7,6,5,4,3,2,1,1\n")
+        code, _, err = run_cli(capsys, "run", "--data", str(path),
+                               "--schema", "pidd", "--classifier", "knn")
+        assert code == 2
+        assert "row 1, column 'label': unknown class label 'maybe'" in err
+
     def test_internal_error_is_exit_three(self, data_csv, capsys, monkeypatch):
         def boom(config):
             raise RuntimeError("wedged")
@@ -233,6 +242,22 @@ class TestSweep:
         assert out.startswith(text)
         assert "sweep over classifier" in text
         assert not list(out_dir.glob("*.tmp"))
+
+    def test_dumped_config_sweeps_as_flags_do(self, data_csv, capsys, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_to_json_obj(ExperimentConfig(data_path=data_csv))))
+        reports = []
+        for source in (["--config", str(config_path)], ["--data", data_csv]):
+            out_dir = tmp_path / source[0][2:]
+            code, _, _ = run_cli(capsys, "sweep", *source, "--variants", "stratified",
+                                 "--classifier", "knn", "--output", str(out_dir))
+            assert code == 0
+            report = json.loads((out_dir / "sweep.json").read_text())
+            del report["created_at"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        # the stratified sampler's own fraction, 0.9 of 42 training rows
+        assert reports[0]["runs"]["stratified"]["repeats"][0]["n_train"] == 38
 
     def test_variants_required(self, data_csv, capsys):
         code, _, err = run_cli(capsys, "sweep", "--data", data_csv)

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +17,7 @@ from ecoamlp.baselines import PREPROCESSOR_KINDS, Preprocessor
 from ecoamlp.class_outlier import OutlierParams
 from ecoamlp.data import SplitSpec
 from ecoamlp.distance import Measure
+from ecoamlp.errors import ConfigError
 from ecoamlp.harness import (
     CLASSIFIER_KINDS,
     CONFIG_FIELDS,
@@ -117,10 +118,19 @@ def test_json_round_trip(config):
     obj = json.loads(json.dumps(config_to_json_obj(config)))
     loaded = config_from_json_obj(obj)
     assert config_to_json_obj(loaded) == obj
-    # the JSON records the effective sampling fraction
-    pre = config.preprocessor
-    assert loaded == dataclasses.replace(
-        config, preprocessor=dataclasses.replace(pre, fraction=pre.effective_fraction()))
+    assert loaded == config
+
+
+def test_fraction_null_is_unset():
+    obj = {"preprocessor": {"kind": "stratified", "fraction": None}}
+    assert config_from_json_obj(obj).preprocessor.fraction is None
+    assert config_to_json_obj(config_from_json_obj(obj))["preprocessor"]["fraction"] is None
+
+
+@pytest.mark.parametrize("value", ["0.9", True])
+def test_fraction_must_be_a_number(value):
+    with pytest.raises(ConfigError, match="^preprocessor.fraction: expected a number or null"):
+        config_from_json_obj({"preprocessor": {"fraction": value}})
 
 
 @PROPERTY_SETTINGS

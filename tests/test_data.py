@@ -9,7 +9,6 @@ from ecoamlp.data import (
     Dataset,
     Schema,
     SplitSpec,
-    infer_schema,
     largest_remainder_allocation,
     load_csv,
     pidd_schema,
@@ -47,13 +46,6 @@ class TestSchema:
     def test_two_distinct_labels_required(self):
         with pytest.raises(ConfigError):
             Schema(("a",), ("x", "x"))
-
-    def test_label_index(self):
-        schema = numeric_schema(1)
-        assert schema.label_index("0") == 0
-        assert schema.label_index("1") == 1
-        with pytest.raises(DataError):
-            schema.label_index("2")
 
 
 class TestDataset:
@@ -243,8 +235,8 @@ class TestLoadCsv:
 
     def test_blank_cell_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text("1.0,,0\n")
-        with pytest.raises(DataError, match="blank"):
+        path.write_text("1.0,2.0,0\n1.0,,0\n")
+        with pytest.raises(DataError, match="row 2, column 'f1': blank cell"):
             load_csv(path, numeric_schema(2))
 
     def test_non_finite_rejected(self, tmp_path):
@@ -254,8 +246,7 @@ class TestLoadCsv:
             load_csv(path, numeric_schema(2))
 
     def test_lone_malformed_row_reads_as_header(self, tmp_path):
-        # consequence of the documented rule: header iff the first row
-        # fails to parse, so a single bad row leaves nothing to load
+        # a lone row counts as a header, so it leaves nothing to load
         path = tmp_path / "d.csv"
         path.write_text("1.0,oops,0\n")
         with pytest.raises(DataError, match="empty dataset"):
@@ -267,14 +258,28 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 2, column 'colour': not a number: 'red'"):
             load_csv(path, Schema(("x", "colour"), ("0", "1")))
 
+    @pytest.mark.parametrize("schema", [numeric_schema(8), pidd_schema()],
+                             ids=["numeric", "pidd"])
+    @pytest.mark.parametrize("first,message", [
+        ("1,2,3,4,5,6,7,8,maybe", "row 1, column 'label': unknown class label 'maybe'"),
+        ("1,2,3,4,5,6,7,8", "row 1 has 8 columns, expected 9"),
+    ], ids=["unknown-label", "short"])
+    def test_numeric_first_row_is_never_a_header(self, tmp_path, schema, first, message):
+        path = tmp_path / "d.csv"
+        path.write_text(f"{first}\n1,2,3,4,5,6,7,8,0\n8,7,6,5,4,3,2,1,1\n")
+        with pytest.raises(DataError, match=message):
+            load_csv(path, schema)
+
 
 class TestInferSchema:
     def test_numeric_with_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b,label\n1.0,2.0,0\n2.0,3.0,1\n")
-        schema = infer_schema(path)
-        assert schema.features == ("a", "b")
-        assert schema.class_labels == ("0", "1")
+        loaded = load_csv(path)
+        assert loaded.schema.features == ("a", "b")
+        assert loaded.schema.class_labels == ("0", "1")
+        assert loaded.features.tolist() == [[1.0, 2.0], [2.0, 3.0]]
+        assert loaded.labels.tolist() == [0, 1]
 
     def test_nominal_column_detected(self, tmp_path):
         # and refused, naming the row and the column of its first cell
@@ -283,19 +288,19 @@ class TestInferSchema:
                             ("a,b,label\n1.0,2.0,0\n\n2.0,blue,1\n", "row 4, column 'b'")]:
             path.write_text(text)
             with pytest.raises(DataError, match=f"{where}: not a number"):
-                infer_schema(path)
+                load_csv(path)
 
     def test_label_count_checked(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1.0,0\n2.0,0\n")
         with pytest.raises(DataError, match="2 class labels"):
-            infer_schema(path)
+            load_csv(path)
 
     def test_inconsistent_columns_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1.0,2.0,0\n1.0,1\n")
-        with pytest.raises(DataError, match="inconsistent"):
-            infer_schema(path)
+        with pytest.raises(DataError, match="row 2 has 2 columns, expected 3"):
+            load_csv(path)
 
 
 def test_pidd_schema_shape():

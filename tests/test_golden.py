@@ -148,22 +148,25 @@ def test_split_ids(seed, stratified):
     assert _json_digest(ids) == SPLIT_GOLDEN[(seed, stratified)]
 
 
+# Reports carry their config, whose unset preprocessor.fraction is null.
+# Each digest without the config key is the same as when the config held
+# the sampler's default there (CHANGES.md lists both).
 RUN_GOLDEN = {
-    ("bootstrap", "automlp"): "3e22a2ff9d844995a62f356a5c908c97e2be0223aa2c96b58b9044b98f760a28",
-    ("bootstrap", "knn"): "d65bb8928cec239a74686d9e4ff3ce3ebb36b85fad8503aceb0b8062df08b6a3",
-    ("bootstrap", "nb"): "5dfd6c53165f617a39cb8c6c7d999f5fcbd4608594a6d78fad4359c833539287",
-    ("ecodb", "automlp"): "0792e557f887d3c019101fabf3306638bec3783e15dc3c4e429edf4a07999bbf",
-    ("ecodb", "knn"): "f281294761e05bc28a403e84f1200c9dcebc45fd6b6f67c6b49f3debc5ea5ade",
-    ("ecodb", "nb"): "20f566503fd57c964401851d71ccad92a2a2522de02291156b30233180b6dfa1",
-    ("none", "automlp"): "a6d2d8f69a2bea42148540739db995af665cae7593548da9406c3860635a4d80",
-    ("none", "knn"): "efc0ee11d7d4274be46aeeea1032b3e4e91f274e47b93855933539bdf39db006",
-    ("none", "nb"): "496fc04c1ec57501b5e47d658f9c10840b8941fd3af947045112e2efd8276103",
-    ("stratified", "automlp"): "a845f8b439d1e4c03c69ddc99531c55fbd0697af982982e423319d13cc9bcc06",
-    ("stratified", "knn"): "fe899036412f03df3e79abc416a6986ba13ded23512a3b0d1679985badf48834",
-    ("stratified", "nb"): "8e8d19f2db76a06e6311c156844b1503ad6382c02e5dd927298a4562c930df7f",
-    ("ztransform", "automlp"): "325ecfec05c64af4212b2b5b50e2d62f33f99fbead9903e604b4c5291a5113b9",
-    ("ztransform", "knn"): "bd30aca32f6b0f9ef216cc3efaafa29448d7142392a2dd5410a2f2e69850df64",
-    ("ztransform", "nb"): "015fe7df396882665a470045334fe38b9bb469d151643b3935c78b1fe2f17c8d",
+    ("bootstrap", "automlp"): "45767c8de564a3400746febdabed3ac83278409e8e764b0c0dfb088846af79ee",
+    ("bootstrap", "knn"): "6dd9963ba76fa52306737e62226ac06f8fbfd6d86e05e908b4cac735dc5b8039",
+    ("bootstrap", "nb"): "cd31d983a41b01f0f411cf7d1888d0806c78c72b2e27a63343d8c91dca90d689",
+    ("ecodb", "automlp"): "21954b6632adf1e48db098eb832d6edd2ddc56d02e3a2db5fdf729684e6e2ea4",
+    ("ecodb", "knn"): "c21a427f1c9807323013dfa33330450e0b203f8139d37e8034e8c1a70ff18af0",
+    ("ecodb", "nb"): "c70d9fb049c5607caa6ff46ce49f9ed8d1b0ff58a06a24a2f1064fdfe5ce4462",
+    ("none", "automlp"): "0893670daee8e1ca12f75275078e4fcae74c4cb2b91a72ad0c636b0186e7fde5",
+    ("none", "knn"): "8c970b4d736c4ebe183767cb0c6d7eb6b045e6451bf720d600167bcda03e48bb",
+    ("none", "nb"): "8df6becd060e3d712e23dc9862ffaf2eb1a77396e74df193b149df2026864eaa",
+    ("stratified", "automlp"): "93d9ed44b6921929e01360d19ed765777b090cae57943dc78ce6775488e629d0",
+    ("stratified", "knn"): "0b4fd213c28a93142ce8be8fb101d8ebc359cd3d46053cb55b6610e2f0f9d55d",
+    ("stratified", "nb"): "aec05671498a267a3b1a2bbbfd9262784de9f80cb321024e0db4eaa8ce945e6d",
+    ("ztransform", "automlp"): "c19c8c955ca2ac3686c28059921bc87fe0bda67867e438b9831d2ed6c6c74786",
+    ("ztransform", "knn"): "abf7013990fdf06b801bcce1f725cc975b441e4b6090e7e988c1a343f58513e7",
+    ("ztransform", "nb"): "ac5c027a276f34b8423230fb5aa146f2d62d02994b73ce1f142c48cd6a59f079",
 }
 
 

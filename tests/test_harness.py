@@ -25,9 +25,9 @@ from ecoamlp.harness import (
     evaluate_prepared,
     evaluate_raw,
     fit_classifier,
-    load_config,
     load_dataset,
     prepare_training_data,
+    read_config_json,
     run_experiment,
     run_repeat,
     run_sweep,
@@ -139,24 +139,21 @@ class TestConfig:
 
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="no such config"):
-            load_config(tmp_path / "missing.json")
+            read_config_json(tmp_path / "missing.json")
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
-            load_config(bad)
+            read_config_json(bad)
         arr = tmp_path / "arr.json"
         arr.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="JSON object"):
-            load_config(arr)
+            read_config_json(arr)
 
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "config.json"
         config = knn_config()
         path.write_text(json.dumps(config_to_json_obj(config)))
-        # serialization echoes the effective fraction and outlier defaults
-        assert load_config(path) == dataclasses.replace(
-            config, preprocessor=Preprocessor(kind="none", fraction=1.0,
-                                              outlier=OutlierParams()))
+        assert config_from_json_obj(read_config_json(path)) == config
 
 
 class TestPrepare:
@@ -186,7 +183,7 @@ class TestPrepare:
             parts.train, parts.validation,
             Preprocessor(kind="bootstrap", fraction=0.5, seed=1), seed=7)
         assert len(prepared.train) == round(0.5 * len(parts.train))
-        assert prepared.train.source_ids is not None
+        assert prepared.train.ids.tolist() == list(range(len(prepared.train)))
         assert prepared.validation is parts.validation
 
     def test_stratified_keeps_proportions(self, parts):
@@ -209,7 +206,7 @@ class TestPrepare:
         pre = Preprocessor(kind="bootstrap", seed=0)
         a = prepare_training_data(parts.train, parts.validation, pre, seed=1)
         b = prepare_training_data(parts.train, parts.validation, pre, seed=2)
-        assert a.train.source_ids != b.train.source_ids
+        assert not np.array_equal(a.train.features, b.train.features)
 
 
 class TestFitAndEvaluate:

