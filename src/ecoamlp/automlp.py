@@ -121,7 +121,7 @@ def init_population(params: AutoMlpParams, input_dim: int) -> AutoMlpPopulation:
     hp_rng = np.random.default_rng(subseed(params.seed, _ROLE_HP_INIT))
     members = []
     for slot in range(params.ensemble_size):
-        hidden = _sample_log_uniform_int(hp_rng, params.hidden_range)
+        hidden = _sample_log_uniform(hp_rng, params.hidden_range, integer=True)
         lr = _sample_log_uniform(hp_rng, params.lr_range)
         config = MlpConfig(
             input_dim=input_dim,
@@ -192,8 +192,8 @@ def _make_offspring(
     params = population.params
     rng = np.random.default_rng(subseed(params.seed, _ROLE_OFFSPRING, gen, slot))
     parent = population.members[survivors[int(rng.integers(len(survivors)))]]
-    hidden = _jitter_log_normal_int(rng, parent.config.hidden_units, HIDDEN_SIGMA,
-                                    params.hidden_range)
+    hidden = _jitter_log_normal(rng, parent.config.hidden_units, HIDDEN_SIGMA,
+                                params.hidden_range, integer=True)
     lr = _jitter_log_normal(rng, parent.config.learning_rate, LR_SIGMA, params.lr_range)
     config = MlpConfig(
         input_dim=population.input_dim,
@@ -209,37 +209,21 @@ def _make_offspring(
     return child
 
 
-def _sample_log_uniform(rng: np.random.Generator, bounds: Tuple[float, float]) -> float:
+def _sample_log_uniform(rng: np.random.Generator, bounds, integer: bool = False):
+    """A log-uniform draw from ``bounds``, rounded half up when ``integer``."""
     lo, hi = bounds
-    value = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-    return min(max(value, lo), hi)
+    return _clamp(math.exp(rng.uniform(math.log(lo), math.log(hi))), bounds, integer)
 
 
-def _sample_log_uniform_int(rng: np.random.Generator, bounds: Tuple[int, int]) -> int:
+def _jitter_log_normal(rng: np.random.Generator, center, sigma: float, bounds,
+                       integer: bool = False):
+    """``center`` (clamped into ``bounds``) times a log-normal factor of
+    log-space deviation ``sigma``, rounded half up when ``integer``."""
+    center = _clamp(center, bounds)
+    return _clamp(math.exp(math.log(center) + sigma * rng.standard_normal()), bounds, integer)
+
+
+def _clamp(value, bounds, integer: bool = False):
+    """``value``, rounded half up when ``integer``, clamped into ``bounds``."""
     lo, hi = bounds
-    value = round_half_up(math.exp(rng.uniform(math.log(lo), math.log(hi))))
-    return min(max(value, lo), hi)
-
-
-def _jitter_log_normal(
-    rng: np.random.Generator,
-    center: float,
-    sigma: float,
-    bounds: Tuple[float, float],
-) -> float:
-    lo, hi = bounds
-    center = min(max(center, lo), hi)
-    value = math.exp(math.log(center) + sigma * rng.standard_normal())
-    return min(max(value, lo), hi)
-
-
-def _jitter_log_normal_int(
-    rng: np.random.Generator,
-    center: int,
-    sigma: float,
-    bounds: Tuple[int, int],
-) -> int:
-    lo, hi = bounds
-    center = min(max(center, lo), hi)
-    value = round_half_up(math.exp(math.log(center) + sigma * rng.standard_normal()))
-    return min(max(value, lo), hi)
+    return min(max(round_half_up(value) if integer else value, lo), hi)

@@ -14,7 +14,7 @@ class 0.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -126,11 +126,9 @@ def stratified_sample(train: Dataset, fraction: float = 0.9, seed: int = 0) -> D
             f"(allocations {alloc} from counts {counts})"
         )
     rng = np.random.default_rng(seed)
-    picks: List[int] = []
-    for label, take in enumerate(alloc):
-        rows = np.flatnonzero(train.labels == label)
-        picks.extend(rows[rng.permutation(rows.shape[0])[:take]].tolist())
-    return train.take_rows(picks)
+    class_rows = (np.flatnonzero(train.labels == label) for label in (0, 1))
+    return train.take_rows(np.concatenate(
+        [rows[rng.permutation(rows.shape[0])[:take]] for rows, take in zip(class_rows, alloc)]))
 
 
 def knn_predict(

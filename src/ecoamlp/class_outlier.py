@@ -27,13 +27,15 @@ equal distance are broken by ascending instance id; the rule lives in
 Each detection builds one n x n matrix with ``pairwise_distances`` and
 derives all components from it in row blocks, without a per-row loop
 (see ``_component_table``); the results equal a row-at-a-time
-computation bit for bit.
+computation bit for bit. The components stay columns: each detector
+scores them elementwise, ranks rows with one ``np.lexsort`` and builds a
+``ScoredInstance`` only for the n rows it reports.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -118,35 +120,29 @@ class OutlierReport:
         }
 
 
-def cof(
-    k: int,
-    pcl_value: float,
-    deviation_value: float,
-    kdist_value: float,
-    alpha: float,
-    beta: float,
-) -> Tuple[float, bool]:
-    """codb score from its components; flags use of the epsilon guard."""
-    flagged = deviation_value == 0.0
-    dev = EPSILON_DEVIATION if flagged else deviation_value
+def cof(k: int, pcl_value, deviation_value, kdist_value, alpha: float, beta: float):
+    """codb scores from their components, elementwise; flags use of the
+    epsilon guard."""
+    flagged = np.equal(deviation_value, 0.0)
+    dev = np.where(flagged, EPSILON_DEVIATION, deviation_value)
     return k * pcl_value + alpha * (1.0 / dev) + beta * kdist_value, flagged
 
 
-def ecof(k: int, pcl_value: float, norm_deviation: float, norm_kdist: float) -> float:
-    """ecodb score from its components (deviation and kdist pre-normalised)."""
+def ecof(k: int, pcl_value, norm_deviation, norm_kdist):
+    """ecodb scores from their components (deviation and kdist
+    pre-normalised), elementwise."""
     return k * pcl_value - norm_deviation + norm_kdist
 
 
 def codb_detect(dataset: Dataset, params: OutlierParams) -> OutlierReport:
     """Rank all instances by codb score and keep the n lowest."""
     _check_n(params.n_outliers, len(dataset))
-    table = _component_table(dataset, params.k, params.measure)
-    scored = []
-    for ident, same_count, dev, kd in table:
-        score, flagged = cof(params.k, same_count / params.k, dev, kd, params.alpha, params.beta)
-        scored.append(ScoredInstance(ident, same_count / params.k, dev, kd, score, flagged))
-    scored.sort(key=lambda s: (s.score, s.id))
-    return OutlierReport(CODB_ALGORITHM, params, tuple(scored[: params.n_outliers]))
+    ids, same_count, dev, kd = _component_table(dataset, params.k, params.measure)
+    pcl = same_count / params.k
+    score, flagged = cof(params.k, pcl, dev, kd, params.alpha, params.beta)
+    top = np.lexsort((ids, score))[: params.n_outliers]
+    return OutlierReport(CODB_ALGORITHM, params,
+                         _scored(top, ids, pcl, dev, kd, score, flagged))
 
 
 def ecodb_detect(dataset: Dataset, params: OutlierParams) -> OutlierReport:
@@ -158,27 +154,27 @@ def ecodb_detect(dataset: Dataset, params: OutlierParams) -> OutlierReport:
     candidate set, scores with ``ecof``, and re-ranks ascending (ties by id).
     """
     _check_n(params.n_outliers, len(dataset))
-    table = _component_table(dataset, params.k, params.measure)
+    ids, same_count, dev, kd = _component_table(dataset, params.k, params.measure)
     # k * (count / k) ranks identically to the integer neighbour count.
-    pass1 = sorted(table, key=lambda t: (t[1], -t[2], t[3], t[0]))
-    candidates = pass1[: params.n_outliers]
-    if not candidates:
+    candidates = np.lexsort((ids, kd, -dev, same_count))[: params.n_outliers]
+    if not candidates.size:
         return OutlierReport(ECODB_ALGORITHM, params, ())
-    devs = np.array([t[2] for t in candidates])
-    kds = np.array([t[3] for t in candidates])
-    norm_dev = _min_max(devs)
-    norm_kd = _min_max(kds)
-    scored = []
-    for (ident, same_count, dev, kd), nd, nk in zip(candidates, norm_dev, norm_kd):
-        score = ecof(params.k, same_count / params.k, float(nd), float(nk))
-        scored.append(ScoredInstance(ident, same_count / params.k, dev, kd, score))
-    scored.sort(key=lambda s: (s.score, s.id))
-    return OutlierReport(ECODB_ALGORITHM, params, tuple(scored))
+    ids, pcl, dev, kd = (a[candidates] for a in (ids, same_count / params.k, dev, kd))
+    score = ecof(params.k, pcl, _min_max(dev), _min_max(kd))
+    ranked = np.lexsort((ids, score))
+    return OutlierReport(ECODB_ALGORITHM, params, _scored(ranked, ids, pcl, dev, kd, score))
 
 
 def remove_outliers(dataset: Dataset, report: OutlierReport) -> Dataset:
     """Dataset without the reported instances, survivors in original order."""
     return dataset.drop_ids(report.outlier_ids)
+
+
+def _scored(rows: np.ndarray, *columns: np.ndarray) -> Tuple[ScoredInstance, ...]:
+    """One ScoredInstance per entry of ``rows``, in that order, from
+    per-row columns in field order."""
+    return tuple(ScoredInstance(*fields)
+                 for fields in zip(*(column[rows].tolist() for column in columns)))
 
 
 def _min_max(values: np.ndarray) -> np.ndarray:
@@ -193,8 +189,9 @@ def _component_table(
     dataset: Dataset,
     k: int,
     measure: Measure,
-) -> List[Tuple[int, int, float, float]]:
-    """Per-instance (id, same-label neighbour count, deviation, kdist).
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-instance columns: ids, same-label neighbour counts, deviations
+    and kdists, in row order.
 
     Each component is one gathered 2-D array summed along its last axis:
     the k neighbours in (distance, id) order for kdist, and the other rows
@@ -208,8 +205,7 @@ def _component_table(
     neighbours = nearest_neighbours(D, dataset.ids, k, exclude_self=True)
     same_count = np.count_nonzero(labels[neighbours] == labels[:, None], axis=1)
     kdist = np.take_along_axis(D, neighbours, axis=1).sum(axis=1)
-    return list(zip(dataset.ids.tolist(), same_count.tolist(),
-                    _deviations(D, labels).tolist(), kdist.tolist()))
+    return dataset.ids, same_count, _deviations(D, labels), kdist
 
 
 def _deviations(D: np.ndarray, labels: np.ndarray) -> np.ndarray:

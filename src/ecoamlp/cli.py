@@ -32,6 +32,8 @@ from .harness import (
     ExperimentConfig,
     config_from_json_obj,
     json_bool,
+    json_float,
+    json_int,
     load_dataset,
     read_config_json,
     run_experiment,
@@ -41,6 +43,7 @@ from .harness import (
 )
 
 _FIELDS = {f.key: f for f in CONFIG_FIELDS}
+_FLAG_TYPES = {json_int: int, json_float: float}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,8 +114,8 @@ def _add_flag(parser: argparse.ArgumentParser, key: str, flag: Optional[str] = N
               **options) -> None:
     """Add the flag of config field ``key``, or ``flag`` in its place."""
     f = _FIELDS[key]
-    if f.convert in (int, float):
-        options["type"] = f.convert
+    if f.convert in _FLAG_TYPES:
+        options["type"] = _FLAG_TYPES[f.convert]
     elif f.convert is json_bool:
         options.update(action="store_true", default=None)
     parser.add_argument(flag or f.flag, dest=_dest(f), **f.options, **options)
@@ -130,7 +133,7 @@ def _experiment_config(args) -> ExperimentConfig:
         value = getattr(args, _dest(f), None)
         if value is not None:
             if f.options.get("action") == "append":  # drop_features, a top-level key
-                value = list(obj.get(f.key, [])) + value
+                value = [*f.parse(obj.get(f.key, [])), *value]
             flags[f.key] = value
     return config_from_json_obj(obj, flags)
 

@@ -6,21 +6,23 @@ Comma-separated values, decimal-point reals, one instance per row with the
 class label in the final column. Every feature cell is a finite number; a
 table with a categorical column is refused, naming the row and the column
 of its first non-numeric cell. One rule finds a header, with or without a
-schema: the first row is one when one of its feature cells is not a number
-but every later row holds a number in that column, or when it is the only
-row. So a bad label or a missing column in a numeric first row of several
-is an error naming row 1, never a dropped header.
+schema: the first row is one when one of its feature cells is neither
+blank nor a number but every later row holds a number in that column, or
+when it is the only row. So a blank cell, a bad label or a missing column
+in a numeric first row of several is an error naming row 1, never a
+dropped header.
 
 Split reproducibility
 ---------------------
-``split`` shuffles the ascending-id order with a Fisher-Yates pass driven by
-xoshiro256** (see :mod:`ecoamlp.rng`), seeded from ``SplitSpec.seed``.
+``split`` shuffles the row positions in ascending-id order with a
+Fisher-Yates pass driven by xoshiro256** (see :mod:`ecoamlp.rng`), seeded
+from ``SplitSpec.seed``: the permutation the pass applies to the sorted ids.
 Subset sizes: validation and test each get ``round_half_up(fraction * n)``
-and the training set absorbs the remainder. The shuffled order is consumed
-as [train | validation | test] segments; within each subset, rows keep the
-parent dataset's original order. Stratified splits allocate each subset's
-per-class counts by largest remainder so class proportions stay within one
-instance of the parent's.
+and the training set absorbs the remainder. The shuffled positions are cut
+into [train | validation | test] segments, each sorted so that its rows keep
+the parent dataset's original order. Stratified splits cut each class's
+positions apart, with per-class counts allocated by largest remainder so
+class proportions stay within one instance of the parent's.
 """
 
 from __future__ import annotations
@@ -96,7 +98,6 @@ class Dataset:
         self.features = features
         self.labels = labels
         self.ids = ids
-        self._row_of = {int(i): r for r, i in enumerate(ids)}
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -105,27 +106,21 @@ class Dataset:
     def n_features(self) -> int:
         return self.schema.arity
 
-    def row_of(self, instance_id: int) -> int:
-        try:
-            return self._row_of[int(instance_id)]
-        except KeyError:
-            raise DataError(f"unknown instance id {instance_id}") from None
-
     def class_counts(self) -> Tuple[int, int]:
         counts = np.bincount(self.labels, minlength=2)
         return int(counts[0]), int(counts[1])
 
     def take_rows(self, rows: Sequence[int]) -> "Dataset":
-        rows = list(rows)
+        rows = np.asarray(rows, dtype=np.intp)
         return Dataset(self.schema, self.features[rows], self.labels[rows], self.ids[rows])
 
     def drop_ids(self, drop: Sequence[int]) -> "Dataset":
         """Survivors in original order; every id in ``drop`` must exist."""
-        drop_set = set(int(i) for i in drop)
-        for i in drop_set:
-            self.row_of(i)
-        keep = [r for r in range(len(self)) if int(self.ids[r]) not in drop_set]
-        return self.take_rows(keep)
+        drop = np.asarray(drop, dtype=np.int64)
+        unknown = drop[~np.isin(drop, self.ids)]
+        if unknown.size:
+            raise DataError(f"unknown instance id {unknown[0]}")
+        return self.take_rows(np.flatnonzero(~np.isin(self.ids, drop)))
 
     def drop_features(self, names: Sequence[str]) -> "Dataset":
         for name in names:
@@ -208,26 +203,18 @@ def split(dataset: Dataset, spec: SplitSpec) -> DataSplit:
             f"(train={n_train}, validation={n_val}, test={n_test})"
         )
 
-    order = fisher_yates(sorted(int(i) for i in dataset.ids), spec.seed)
+    order = np.argsort(dataset.ids, kind="stable")[fisher_yates(range(n), spec.seed)]
     if spec.stratified:
-        train_ids, val_ids, test_ids = _stratified_segments(
-            dataset, order, n_val, n_test
-        )
+        parts = _stratified_segments(dataset.labels, order, n_val, n_test)
     else:
-        train_ids = set(order[:n_train])
-        val_ids = set(order[n_train:n_train + n_val])
-        test_ids = set(order[n_train + n_val:])
-
-    def subset(members: set) -> Dataset:
-        rows = [r for r in range(n) if int(dataset.ids[r]) in members]
-        return dataset.take_rows(rows)
-
-    return DataSplit(subset(train_ids), subset(val_ids), subset(test_ids))
+        parts = np.split(order, [n_train, n_train + n_val])
+    return DataSplit(*(dataset.take_rows(np.sort(rows)) for rows in parts))
 
 
-def _stratified_segments(dataset, order, n_val, n_test):
-    label_of = {int(i): int(l) for i, l in zip(dataset.ids, dataset.labels)}
-    per_class = [[i for i in order if label_of[i] == c] for c in (0, 1)]
+def _stratified_segments(labels, order, n_val, n_test):
+    """[train, validation, test] row positions, cut from each class's share
+    of the shuffled ``order``."""
+    per_class = [order[labels[order] == c] for c in (0, 1)]
     counts = [len(g) for g in per_class]
     if min(counts) == 0:
         raise DataError("stratified split requires both classes present")
@@ -239,13 +226,10 @@ def _stratified_segments(dataset, order, n_val, n_test):
                 f"class {c} too small for stratified split "
                 f"({counts[c]} members, {val_alloc[c] + test_alloc[c]} requested)"
             )
-    val_ids, test_ids, train_ids = set(), set(), set()
-    for c in (0, 1):
-        members = per_class[c]
-        val_ids.update(members[:val_alloc[c]])
-        test_ids.update(members[val_alloc[c]:val_alloc[c] + test_alloc[c]])
-        train_ids.update(members[val_alloc[c] + test_alloc[c]:])
-    return train_ids, val_ids, test_ids
+    cuts = [np.split(members, [v, v + t])
+            for members, v, t in zip(per_class, val_alloc, test_alloc)]
+    val, test, train = (np.concatenate(segments) for segments in zip(*cuts))
+    return train, val, test
 
 
 def load_csv(path, schema: Optional[Schema] = None) -> Dataset:
@@ -319,7 +303,7 @@ def _is_header(rows, numeric: List[bool], n: int) -> bool:
     whose first ``n`` cells are all finite numbers."""
     first = rows[0][1]
     return len(rows) == 1 or (not numeric[0] and any(
-        c < len(first) and not _is_number(first[c])
+        c < len(first) and first[c].strip() and not _is_number(first[c])
         and all(ok or (c < len(row) and _is_number(row[c]))
                 for (_, row), ok in zip(rows[1:], numeric[1:]))
         for c in range(n)))

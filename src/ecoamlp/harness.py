@@ -103,33 +103,61 @@ class ExperimentConfig:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
 
 
-def json_bool(value) -> bool:
-    """A JSON true or false; a string, number or null is refused, not cast."""
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {json.dumps(value)}")
-    return value
+def _json(expected: str, *types: type, cast: Optional[Callable] = None) -> Callable:
+    """A converter that refuses, never casts, a JSON value of none of
+    ``types`` (a bool is no number), saying what it ``expected``, and
+    applies ``cast`` to any value but null."""
+    def convert(value):
+        if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
+            raise ValueError(f"expected {expected}, got {json.dumps(value)}")
+        return cast(value) if cast and value is not None else value
+    return convert
 
 
-def optional_float(value) -> Optional[float]:
-    """A JSON number, or null for unset; a string or a bool is refused, not cast."""
-    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise ValueError(f"expected a number or null, got {json.dumps(value)}")
-    return value if value is None else float(value)
+json_bool = _json("true or false", bool)
+json_int = _json("an integer", int)
+json_float = _json("a number", int, float, cast=float)
+json_str = _json("a string", str)
+optional_float = _json("a number or null", int, float, type(None), cast=float)
+optional_str = _json("a string or null", str, type(None))
+
+
+def json_list(item: Callable, length: Optional[int] = None) -> Callable:
+    """A converter of a JSON list (of ``length`` items, when given) into a
+    tuple, each item through ``item``."""
+    def convert(value):
+        if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+            expected = "a list" if length is None else f"a list of {length}"
+            raise ValueError(f"expected {expected}, got {json.dumps(value)}")
+        return tuple(map(item, value))
+    return convert
+
+
+def _measure(value) -> Measure:
+    return Measure.parse(json_str(value))
 
 
 class ConfigField(NamedTuple):
     """One experiment setting: its JSON key, dataclass attribute and CLI flag.
 
     ``convert`` turns a JSON (or flag) value into the attribute's value and
-    is None for strings kept as they are; int and float also type the flag
-    and :func:`json_bool` makes it a switch. ``options`` are extra argparse options.
+    refuses, never casts, a value of another JSON type. :func:`json_int` and
+    :func:`json_float` also type the flag and :func:`json_bool` makes it a
+    switch. ``options`` are extra argparse options.
     """
 
     key: str
     attr: str
     flag: str
-    convert: Optional[Callable] = None
+    convert: Callable
     options: dict = {}
+
+    def parse(self, value):
+        """``value`` converted, or a ConfigError naming the key."""
+        try:
+            return self.convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{self.key}: {exc}") from None
 
 
 CONFIG_SECTIONS = {
@@ -147,46 +175,46 @@ _MEASURES = {"choices": [m.value for m in Measure]}
 _RANGE = {"nargs": 2, "metavar": ("LO", "HI")}
 
 CONFIG_FIELDS = (
-    ConfigField("data", "data_path", "--data", options={"metavar": "FILE"}),
-    ConfigField("schema", "schema_name", "--schema", options={"choices": SCHEMA_NAMES}),
-    ConfigField("drop_features", "drop_features", "--drop-feature", tuple,
+    ConfigField("data", "data_path", "--data", optional_str, {"metavar": "FILE"}),
+    ConfigField("schema", "schema_name", "--schema", json_str, {"choices": SCHEMA_NAMES}),
+    ConfigField("drop_features", "drop_features", "--drop-feature", json_list(json_str),
                 {"action": "append", "metavar": "NAME",
                  "help": "drop a feature column by name (repeatable)"}),
-    ConfigField("split.train", "train_fraction", "--train-fraction", float),
-    ConfigField("split.validation", "validation_fraction", "--validation-fraction", float),
-    ConfigField("split.test", "test_fraction", "--test-fraction", float),
-    ConfigField("split.seed", "seed", "--split-seed", int),
+    ConfigField("split.train", "train_fraction", "--train-fraction", json_float),
+    ConfigField("split.validation", "validation_fraction", "--validation-fraction", json_float),
+    ConfigField("split.test", "test_fraction", "--test-fraction", json_float),
+    ConfigField("split.seed", "seed", "--split-seed", json_int),
     ConfigField("split.stratified", "stratified", "--stratified", json_bool),
-    ConfigField("preprocessor.kind", "kind", "--preprocessor",
-                options={"choices": PREPROCESSOR_KINDS}),
+    ConfigField("preprocessor.kind", "kind", "--preprocessor", json_str,
+                {"choices": PREPROCESSOR_KINDS}),
     ConfigField("preprocessor.fraction", "fraction", "--fraction", optional_float,
                 {"type": float, "help": "sampling fraction for bootstrap/stratified"}),
-    ConfigField("preprocessor.seed", "seed", "--preprocessor-seed", int),
-    ConfigField("preprocessor.outlier.k", "k", "--outlier-k", int),
-    ConfigField("preprocessor.outlier.n_outliers", "n_outliers", "--n-outliers", int),
+    ConfigField("preprocessor.seed", "seed", "--preprocessor-seed", json_int),
+    ConfigField("preprocessor.outlier.k", "k", "--outlier-k", json_int),
+    ConfigField("preprocessor.outlier.n_outliers", "n_outliers", "--n-outliers", json_int),
     ConfigField("preprocessor.outlier.measure", "measure", "--outlier-measure",
-                Measure.parse, _MEASURES),
-    ConfigField("preprocessor.outlier.alpha", "alpha", "--alpha", float),
-    ConfigField("preprocessor.outlier.beta", "beta", "--beta", float),
-    ConfigField("classifier.kind", "kind", "--classifier",
-                options={"choices": CLASSIFIER_KINDS}),
-    ConfigField("classifier.automlp.ensemble_size", "ensemble_size", "--ensemble-size", int),
+                _measure, _MEASURES),
+    ConfigField("preprocessor.outlier.alpha", "alpha", "--alpha", json_float),
+    ConfigField("preprocessor.outlier.beta", "beta", "--beta", json_float),
+    ConfigField("classifier.kind", "kind", "--classifier", json_str,
+                {"choices": CLASSIFIER_KINDS}),
+    ConfigField("classifier.automlp.ensemble_size", "ensemble_size", "--ensemble-size",
+                json_int),
     ConfigField("classifier.automlp.cycles_per_generation", "cycles_per_generation",
-                "--cycles", int, {"help": "training cycles per generation"}),
-    ConfigField("classifier.automlp.generations", "generations", "--generations", int),
-    ConfigField("classifier.automlp.hidden_range", "hidden_range", "--hidden-range", tuple,
-                {"type": int, **_RANGE}),
-    ConfigField("classifier.automlp.lr_range", "lr_range", "--lr-range", tuple,
-                {"type": float, **_RANGE}),
-    ConfigField("classifier.automlp.seed", "seed", "--automlp-seed", int),
+                "--cycles", json_int, {"help": "training cycles per generation"}),
+    ConfigField("classifier.automlp.generations", "generations", "--generations", json_int),
+    ConfigField("classifier.automlp.hidden_range", "hidden_range", "--hidden-range",
+                json_list(json_int, 2), {"type": int, **_RANGE}),
+    ConfigField("classifier.automlp.lr_range", "lr_range", "--lr-range",
+                json_list(json_float, 2), {"type": float, **_RANGE}),
+    ConfigField("classifier.automlp.seed", "seed", "--automlp-seed", json_int),
     ConfigField("classifier.automlp.warm_start", "warm_start", "--warm-start", json_bool,
                 {"help": "offspring with unchanged width inherit parent weights"}),
-    ConfigField("classifier.knn_k", "knn_k", "--knn-k", int),
-    ConfigField("classifier.knn_measure", "knn_measure", "--knn-measure",
-                Measure.parse, _MEASURES),
-    ConfigField("repeats", "repeats", "--repeats", int),
-    ConfigField("output_dir", "output_dir", "--output",
-                options={"metavar": "DIR", "help": "write report.json/report.txt here"}),
+    ConfigField("classifier.knn_k", "knn_k", "--knn-k", json_int),
+    ConfigField("classifier.knn_measure", "knn_measure", "--knn-measure", _measure, _MEASURES),
+    ConfigField("repeats", "repeats", "--repeats", json_int),
+    ConfigField("output_dir", "output_dir", "--output", optional_str,
+                {"metavar": "DIR", "help": "write report.json/report.txt here"}),
     ConfigField("evaluate_on_train", "evaluate_on_train", "--evaluate-on-train", json_bool,
                 {"help": "score the training set instead of the test set"}),
 )
@@ -240,10 +268,7 @@ def config_from_json_obj(obj: dict, flags: Optional[Dict[str, object]] = None) -
             value = raw[section][name]
         else:
             continue
-        try:
-            kwargs[section][f.attr] = f.convert(value) if f.convert else value
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{f.key}: {exc}") from None
+        kwargs[section][f.attr] = f.parse(value)
     for section in reversed(CONFIG_SECTIONS):
         parent, _, name = section.rpartition(".")
         config = CONFIG_SECTIONS[section](**kwargs[section])

@@ -3,9 +3,12 @@
 Everything here is written directly from the definitions with plain
 Python loops and scalar math, deliberately avoiding the package's
 vectorized code paths, so agreement between the two is evidence rather
-than tautology. The exception is :func:`loss_gradients`: it sums the
-package's own training step, so that :func:`fd_gradients` checks the step
-that trains.
+than tautology. The exceptions: :func:`loss_gradients` sums the package's
+own training step, so that :func:`fd_gradients` checks the step that
+trains; and the row-selection references (:func:`split`,
+:func:`drop_ids`, :func:`stratified_sample`) reuse the pinned shuffle and
+the allocation rule, which have their own tests, and select by id sets
+and row scans where the package uses index arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +18,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ecoamlp.data import DataSplit, largest_remainder_allocation, round_half_up
+from ecoamlp.errors import ConfigError, DataError
 from ecoamlp.mlp import PROB_CLIP, _FlatLayers
+from ecoamlp.rng import fisher_yates
 
 
 class Instance(NamedTuple):
@@ -32,9 +38,85 @@ def instances(dataset):
             for r in range(len(dataset))]
 
 
+def row_of(dataset, instance_id: int) -> int:
+    """Row of ``instance_id`` in ``dataset``, by a scan of its ids."""
+    for r, i in enumerate(dataset.ids.tolist()):
+        if i == instance_id:
+            return r
+    raise DataError(f"unknown instance id {instance_id}")
+
+
 def instance(dataset, instance_id: int) -> Instance:
-    r = dataset.row_of(instance_id)
+    r = row_of(dataset, instance_id)
     return Instance(dataset.features[r], int(dataset.labels[r]), int(dataset.ids[r]))
+
+
+def _take_ids(dataset, members):
+    """The rows of ``dataset`` whose ids are in ``members``, in row order."""
+    return dataset.take_rows([r for r in range(len(dataset)) if int(dataset.ids[r]) in members])
+
+
+def split(dataset, spec) -> DataSplit:
+    """Three-way split by id sets: the pinned shuffle of the sorted ids,
+    cut into segments, each subset a scan of the parent's rows."""
+    n = len(dataset)
+    if n < 3:
+        raise DataError("dataset must have at least 3 instances to split")
+    n_val = round_half_up(spec.validation_fraction * n)
+    n_test = round_half_up(spec.test_fraction * n)
+    n_train = n - n_val - n_test
+    if min(n_train, n_val, n_test) < 1:
+        raise ConfigError(f"split of {n} instances yields empty subset")
+    order = fisher_yates(sorted(int(i) for i in dataset.ids), spec.seed)
+    if not spec.stratified:
+        return DataSplit(_take_ids(dataset, set(order[:n_train])),
+                         _take_ids(dataset, set(order[n_train:n_train + n_val])),
+                         _take_ids(dataset, set(order[n_train + n_val:])))
+    label_of = {int(i): int(l) for i, l in zip(dataset.ids, dataset.labels)}
+    per_class = [[i for i in order if label_of[i] == c] for c in (0, 1)]
+    counts = [len(g) for g in per_class]
+    if min(counts) == 0:
+        raise DataError("stratified split requires both classes present")
+    val_alloc = largest_remainder_allocation(counts, n_val)
+    test_alloc = largest_remainder_allocation(counts, n_test)
+    train_ids, val_ids, test_ids = set(), set(), set()
+    for c in (0, 1):
+        if val_alloc[c] + test_alloc[c] >= counts[c]:
+            raise DataError(f"class {c} too small for stratified split")
+        members = per_class[c]
+        val_ids.update(members[:val_alloc[c]])
+        test_ids.update(members[val_alloc[c]:val_alloc[c] + test_alloc[c]])
+        train_ids.update(members[val_alloc[c] + test_alloc[c]:])
+    return DataSplit(_take_ids(dataset, train_ids), _take_ids(dataset, val_ids),
+                     _take_ids(dataset, test_ids))
+
+
+def drop_ids(dataset, drop):
+    """``dataset`` without the rows whose ids are in ``drop``; each must exist."""
+    drop_set = set(int(i) for i in drop)
+    for i in drop_set:
+        row_of(dataset, i)
+    return _take_ids(dataset, set(dataset.ids.tolist()) - drop_set)
+
+
+def stratified_sample(train, fraction: float, seed: int):
+    """Per-class picks by a numpy permutation each, class 0's first, as
+    ``baselines.stratified_sample`` draws them."""
+    n = len(train)
+    if n == 0:
+        raise DataError("cannot sample from an empty dataset")
+    counts = train.class_counts()
+    if min(counts) == 0:
+        raise DataError("stratified sampling needs at least one instance of each class")
+    alloc = largest_remainder_allocation([c / n for c in counts], round_half_up(fraction * n))
+    if min(alloc) == 0:
+        raise DataError("a class would get no instances")
+    rng = np.random.default_rng(seed)
+    picks = []
+    for label, take in enumerate(alloc):
+        rows = [r for r in range(n) if int(train.labels[r]) == label]
+        picks.extend(rows[p] for p in rng.permutation(len(rows))[:take].tolist())
+    return train.take_rows(picks)
 
 
 def pearson_distance(a, b) -> float:
@@ -68,7 +150,7 @@ def distance(a, b, measure: str) -> float:
 
 def knn(dataset, query_id: int, k: int, measure: str):
     """All-pairs scan and full sort; returns [(id, dist)] of length k."""
-    q = dataset.features[dataset.row_of(query_id)]
+    q = dataset.features[row_of(dataset, query_id)]
     scored = []
     for inst in instances(dataset):
         if inst.id == query_id:

@@ -195,7 +195,7 @@ def brute_force_knn(train, query, k, measure_name):
         (oracles.distance(row.tolist(), query, measure_name), int(i))
         for row, i in zip(train.features, train.ids)
     )
-    votes = sum(int(train.labels[train.row_of(i)]) for _, i in scored[:k])
+    votes = sum(int(train.labels[oracles.row_of(train, i)]) for _, i in scored[:k])
     return 1 if votes * 2 > k else 0
 
 

@@ -61,7 +61,8 @@ class TestComponents:
         got = components(ds, 5)
         for qid in [0, 13, 57, 99]:
             want = oracles.knn(ds, qid, 5, "euclidean")
-            same = sum(ds.labels[ds.row_of(i)] == ds.labels[ds.row_of(qid)] for i, _ in want)
+            same = sum(oracles.instance(ds, i).label == oracles.instance(ds, qid).label
+                       for i, _ in want)
             assert got[qid].pcl == pytest.approx(same / 5, abs=1e-12)
             assert got[qid].kdist == pytest.approx(sum(d for _, d in want), abs=1e-9)
 

@@ -202,6 +202,48 @@ class TestExitCodes:
         assert code == 2
         assert "row 1, column 'label': unknown class label 'maybe'" in err
 
+    @pytest.mark.parametrize("schema", [[], ["--schema", "pidd"]], ids=["infer", "pidd"])
+    def test_blank_first_row_cell_is_exit_two(self, capsys, tmp_path, schema):
+        path = tmp_path / "d.csv"
+        row = "1,2,3,4,5,6,7,8,0"
+        path.write_text(f"1,,3,4,5,6,7,8,0\n{row}\n{row}\n")
+        code, _, err = run_cli(capsys, "detect-outliers", "--data", str(path), *schema)
+        assert code == 2
+        assert "row 1, column " in err and ": blank cell" in err
+
+    @pytest.mark.parametrize("obj,key", [
+        ({"repeats": "10"}, "repeats"),
+        ({"preprocessor": {"outlier": {"k": 3.9}}}, "preprocessor.outlier.k"),
+        ({"preprocessor": {"outlier": {"alpha": "2.5"}}}, "preprocessor.outlier.alpha"),
+        ({"split": {"seed": True}}, "split.seed"),
+        ({"drop_features": "skin"}, "drop_features"),
+        ({"classifier": {"automlp": {"hidden_range": [2.5, 10.7]}}},
+         "classifier.automlp.hidden_range"),
+        ({"data": 5}, "data"),
+    ])
+    def test_config_value_of_another_type_is_exit_one(self, capsys, tmp_path, obj, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        # a --drop-feature flag is appended to the file's list, which is checked first
+        for extra in ([], ["--drop-feature", "f0"]):
+            code, _, err = run_cli(capsys, "run", "--config", str(path), *extra)
+            assert code == 1
+            assert err.startswith(f"error: {key}: expected ")
+
+    def test_flags_keep_their_types(self, capsys):
+        args = ecoamlp.cli._build_parser().parse_args([
+            "run", "--outlier-k", "3", "--alpha", "2", "--split-seed", "4", "--fraction", "1",
+            "--hidden-range", "2", "9", "--lr-range", "1", "2", "--drop-feature", "f0"])
+        config = ecoamlp.cli._experiment_config(args)
+        values = (config.preprocessor.outlier.k, config.preprocessor.outlier.alpha,
+                  config.split.seed, config.preprocessor.fraction,
+                  *config.classifier.automlp.hidden_range, *config.classifier.automlp.lr_range,
+                  *config.drop_features)
+        assert values == (3, 2.0, 4, 1.0, 2, 9, 1.0, 2.0, "f0")
+        assert [type(v) for v in values] == [int, float, int, float, int, int, float, float, str]
+        code, _, err = run_cli(capsys, "run", "--outlier-k", "3.9")
+        assert code == 1 and "--outlier-k: invalid int value: '3.9'" in err
+
     def test_internal_error_is_exit_three(self, data_csv, capsys, monkeypatch):
         def boom(config):
             raise RuntimeError("wedged")

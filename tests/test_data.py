@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from ecoamlp.baselines import stratified_sample
 from ecoamlp.data import (
     Dataset,
+    DataSplit,
     Schema,
     SplitSpec,
     largest_remainder_allocation,
@@ -51,11 +56,11 @@ class TestSchema:
 class TestDataset:
     def test_row_and_instance_lookup(self):
         ds = small_dataset()
-        assert ds.row_of(12) == 2
-        assert ds.labels[2] == 1
-        assert np.array_equal(ds.features[2], [2.0, 2.0])
+        assert oracles.row_of(ds, 12) == 2
+        inst = oracles.instance(ds, 12)
+        assert (inst.features.tolist(), inst.label, inst.id) == ([2.0, 2.0], 1, 12)
         with pytest.raises(DataError):
-            ds.row_of(99)
+            oracles.row_of(ds, 99)
 
     def test_arrays_are_frozen(self):
         ds = small_dataset()
@@ -181,6 +186,83 @@ class TestSplit:
             split(ds, SplitSpec(seed=0, stratified=True))
 
 
+@st.composite
+def shuffled_datasets(draw):
+    """Datasets whose ids are neither contiguous nor in row order; row r
+    holds features (r, -r), so a row moved without its id shows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = rng.permutation(np.unique(rng.integers(-2**40, 2**40, size=draw(st.integers(0, 60)))))
+    n = ids.shape[0]
+    labels = (rng.random(n) < draw(st.floats(0.0, 1.0))).astype(np.int64)
+    features = np.stack([np.arange(n), -np.arange(n)], axis=1).astype(float)
+    return Dataset(numeric_schema(2), features, labels, ids)
+
+
+def outcome(select, *args):
+    """Each returned subset as (ids, labels, features) lists, or the type
+    of the error raised."""
+    try:
+        result = select(*args)
+    except (ConfigError, DataError) as exc:
+        return type(exc)
+    subsets = ([result.train, result.validation, result.test]
+               if isinstance(result, DataSplit) else [result])
+    return [(d.ids.tolist(), d.labels.tolist(), d.features.tolist()) for d in subsets]
+
+
+ROW_SELECTION = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+class TestRowSelectionMatchesReference:
+    """Index-array selection against the id-set references in ``oracles``."""
+
+    @ROW_SELECTION
+    @given(ds=shuffled_datasets(), v=st.floats(0.01, 0.45), t=st.floats(0.01, 0.45),
+           seed=st.integers(0, 2**64 - 1), stratified=st.booleans())
+    def test_split(self, ds, v, t, seed, stratified):
+        spec = SplitSpec(1.0 - v - t, v, t, seed, stratified)
+        got = outcome(split, ds, spec)
+        assert got == outcome(oracles.split, ds, spec)
+        if isinstance(got, type):
+            return
+        n = len(ds)
+        sizes = [len(ids) for ids, _, _ in got]
+        assert sizes[1:] == [round_half_up(v * n), round_half_up(t * n)]
+        assert sorted(i for ids, _, _ in got for i in ids) == sorted(ds.ids.tolist())
+        row = {i: r for r, i in enumerate(ds.ids.tolist())}
+        for ids, labels, _ in got:
+            assert [row[i] for i in ids] == sorted(row[i] for i in ids)
+            if stratified:
+                for c, n_c in enumerate(ds.class_counts()):
+                    assert abs(labels.count(c) - n_c / n * len(ids)) <= 1.0 + 1e-9
+
+    @ROW_SELECTION
+    @given(ds=shuffled_datasets(), data=st.data())
+    def test_drop_ids(self, ds, data):
+        known = ds.ids.tolist()
+        drop = data.draw(st.lists(st.sampled_from(known), max_size=len(known))) if known else []
+        if data.draw(st.booleans()):
+            drop.append(max(known, default=0) + 1)
+        got = outcome(ds.drop_ids, drop)
+        assert got == outcome(oracles.drop_ids, ds, drop)
+        if not isinstance(got, type):
+            ((ids, _, _),) = got
+            assert ids == [i for i in known if i not in drop]
+
+    @ROW_SELECTION
+    @given(ds=shuffled_datasets(), fraction=st.floats(0.01, 1.0),
+           seed=st.integers(0, 2**64 - 1))
+    def test_stratified_sample(self, ds, fraction, seed):
+        got = outcome(stratified_sample, ds, fraction, seed)
+        assert got == outcome(oracles.stratified_sample, ds, fraction, seed)
+        if not isinstance(got, type):
+            ((ids, labels, _),) = got
+            n, m = len(ds), len(ids)
+            assert m == round_half_up(fraction * n) and len(set(ids)) == m
+            for c, n_c in enumerate(ds.class_counts()):
+                assert abs(labels.count(c) - n_c / n * m) <= 1.0 + 1e-9
+
+
 class TestLoadCsv:
     def test_roundtrip_with_header(self, tmp_path):
         ds = random_dataset(25, 3, seed=7)
@@ -238,6 +320,13 @@ class TestLoadCsv:
         path.write_text("1.0,2.0,0\n1.0,,0\n")
         with pytest.raises(DataError, match="row 2, column 'f1': blank cell"):
             load_csv(path, numeric_schema(2))
+
+    @pytest.mark.parametrize("schema", [numeric_schema(2), None], ids=["numeric", "infer"])
+    def test_blank_first_row_cell_is_not_a_header(self, tmp_path, schema):
+        path = tmp_path / "d.csv"
+        path.write_text("1.0,,0\n1.0,2.0,0\n3.0,4.0,1\n")
+        with pytest.raises(DataError, match="row 1, column 'f1': blank cell"):
+            load_csv(path, schema)
 
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "d.csv"

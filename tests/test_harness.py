@@ -39,6 +39,17 @@ from ecoamlp.metrics import report, ConfusionMatrix
 
 from synth import random_dataset, write_csv
 
+
+def nested(key: str, value) -> dict:
+    """A JSON config that sets only the dotted ``key``."""
+    *sections, name = key.split(".")
+    obj = section = {}
+    for part in sections:
+        section = section.setdefault(part, {})
+    section[name] = value
+    return obj
+
+
 TINY_AUTOMLP = AutoMlpParams(ensemble_size=2, cycles_per_generation=1,
                              generations=1, hidden_range=(2, 4),
                              lr_range=(0.05, 0.5))
@@ -127,15 +138,26 @@ class TestConfig:
                                      "evaluate_on_train"])
     @pytest.mark.parametrize("value", ["false", 1, None])
     def test_switches_take_only_json_booleans(self, key, value):
-        *sections, name = key.split(".")
-        obj = section = {}
-        for part in sections:
-            section = section.setdefault(part, {})
-        section[name] = value
         with pytest.raises(ConfigError, match=f"^{key}: expected true or false"):
-            config_from_json_obj(obj)
-        section[name] = False
-        assert config_from_json_obj(obj) == config_from_json_obj({})
+            config_from_json_obj(nested(key, value))
+        assert config_from_json_obj(nested(key, False)) == config_from_json_obj({})
+
+    @pytest.mark.parametrize("key,value,expected", [
+        ("repeats", "10", "an integer"),
+        ("preprocessor.outlier.k", 3.9, "an integer"),
+        ("preprocessor.outlier.alpha", "2.5", "a number"),
+        ("split.seed", True, "an integer"),
+        ("drop_features", "skin", "a list"),
+        ("drop_features", ["skin", 3], "a string"),
+        ("classifier.automlp.hidden_range", [2.5, 10.7], "an integer"),
+        ("classifier.automlp.lr_range", [0.1], "a list of 2"),
+        ("data", 5, "a string or null"),
+        ("schema", ["pidd"], "a string"),
+        ("preprocessor.outlier.measure", 5, "a string"),
+    ])
+    def test_values_are_checked_not_cast(self, key, value, expected):
+        with pytest.raises(ConfigError, match=f"^{key}: expected {expected}, got "):
+            config_from_json_obj(nested(key, value))
 
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="no such config"):
