@@ -133,14 +133,10 @@ def init_population(params: AutoMlpParams, input_dim: int) -> AutoMlpPopulation:
     return AutoMlpPopulation(params, input_dim, members)
 
 
-def run_generation(
-    population: AutoMlpPopulation,
-    train: Dataset,
-    validation: Dataset,
-    params: AutoMlpParams = None,
-) -> AutoMlpPopulation:
+def run_generation(population: AutoMlpPopulation, train: Dataset,
+                   validation: Dataset) -> AutoMlpPopulation:
     """Train, evaluate, record, and replace the losing half in place."""
-    params = population.params if params is None else params
+    params = population.params
     gen = population.generation
     for cycle in range(params.cycles_per_generation):
         seeds = [subseed(params.seed, _ROLE_SHUFFLE, gen, slot, cycle)
@@ -205,7 +201,6 @@ def _make_offspring(
     if params.warm_start and hidden == parent.config.hidden_units:
         child.w_ih = parent.w_ih.copy()
         child.w_ho = parent.w_ho.copy()
-        child.epochs_trained = parent.epochs_trained
     return child
 
 

@@ -90,7 +90,7 @@ def ztransform_fit(train: Dataset) -> ZTransform:
     return ZTransform(mean=mean, scale_inv=scale_inv)
 
 
-def bootstrap_sample(train: Dataset, fraction: float = 1.0, seed: int = 0) -> Dataset:
+def bootstrap_sample(train: Dataset, fraction: float, seed: int) -> Dataset:
     """Sample round(fraction * n) instances with replacement.
 
     Drawn rows get fresh sequential ids (duplicates must stay distinct).
@@ -104,7 +104,7 @@ def bootstrap_sample(train: Dataset, fraction: float = 1.0, seed: int = 0) -> Da
     return Dataset(train.schema, train.features[rows], train.labels[rows], np.arange(m))
 
 
-def stratified_sample(train: Dataset, fraction: float = 0.9, seed: int = 0) -> Dataset:
+def stratified_sample(train: Dataset, fraction: float, seed: int) -> Dataset:
     """Sample round(fraction * n) instances without replacement.
 
     Per-class counts follow largest-remainder rounding of the class
@@ -131,12 +131,7 @@ def stratified_sample(train: Dataset, fraction: float = 0.9, seed: int = 0) -> D
         [rows[rng.permutation(rows.shape[0])[:take]] for rows, take in zip(class_rows, alloc)]))
 
 
-def knn_predict(
-    train: Dataset,
-    X: np.ndarray,
-    k: int = 5,
-    measure: Measure = Measure.EUCLIDEAN,
-) -> np.ndarray:
+def knn_predict(train: Dataset, X: np.ndarray, k: int, measure: Measure) -> np.ndarray:
     """Majority vote of each row's k nearest training instances; a tie votes 0.
 
     One ``cross_distances`` matrix (test rows x training rows, filled in

@@ -10,10 +10,10 @@ Three subcommands:
                         and print or save the ranked report.
 
 Flags override values from ``--config``. Every feature column of the CSV
-must be numeric. The report files of ``run`` and ``sweep`` are written
-here, once, after the harness returns. Exit codes: 0 success, 1 bad
-configuration (an unknown measure among them), 2 bad data (a non-numeric
-feature cell among them), 3 internal error.
+must be numeric. The report files of ``run`` and ``sweep`` are written here,
+once, after the harness returns; every output file is written whole or not
+at all. Exit codes: 0 success, 1 bad configuration (an unknown measure among
+them), 2 bad data (a non-numeric feature cell among them), 3 internal error.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from .class_outlier import codb_detect, ecodb_detect
@@ -38,6 +39,7 @@ from .harness import (
     read_config_json,
     run_experiment,
     run_sweep,
+    write_atomic,
     write_run_report,
     write_sweep_report,
 )
@@ -166,8 +168,7 @@ def _cmd_detect(args) -> int:
     report = detect(dataset, config.preprocessor.outlier)
     text = json.dumps(report.to_json_obj(), indent=2)
     if args.output_file:
-        with open(args.output_file, "w") as fh:
-            fh.write(text + "\n")
+        write_atomic(Path(args.output_file), text + "\n")
         print(f"wrote {args.output_file}")
     else:
         print(text)

@@ -280,9 +280,12 @@ def _read_rows(path: Path) -> List[Tuple[int, List[str]]]:
     """The CSV's non-blank rows, each with its 1-based file line."""
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="") as fh:
-        return [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
-                if row and any(cell.strip() for cell in row)]
+    try:
+        with path.open(newline="") as fh:
+            return [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
+                    if row and any(cell.strip() for cell in row)]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read: {exc}") from None
 
 
 def _parse_into(out: np.ndarray, row: List[str]) -> bool:

@@ -6,9 +6,11 @@ validation only) -> evaluate on validation and test.
 
 The test subset is handed exclusively to the evaluation stage; it is
 never passed to preparation or fitting, and any fitted transform (such as
-a z-transform) is applied to it only inside :func:`evaluate_raw`. Repeat
-``i`` of a run offsets every configured seed by ``i`` so repeats differ
-from each other but the whole run stays reproducible. A sweep's variants
+a z-transform) is applied to it only inside :func:`evaluate_raw`. Each
+stage reads its seed from its own config section, and
+:func:`repeat_config` alone offsets the split, preprocessor and AutoMLP
+seeds by the repeat index, so repeats differ from each other but the whole
+run stays reproducible. A sweep's variants
 differ only after the split, so it splits each repeat once and runs every
 variant on the same parts.
 
@@ -20,8 +22,9 @@ given: an unset ``preprocessor.fraction`` is ``null``, never its default.
 Reports serialise to JSON (stable key order; the timestamp is the only
 field that varies between identical runs) and to an aligned text table.
 ``run_experiment`` and ``run_sweep`` only return reports; the CLI writes
-them with ``write_run_report`` and ``write_sweep_report``, through a temp
-file plus rename so readers never observe a partial report.
+them with ``write_run_report`` and ``write_sweep_report``, through
+:func:`write_atomic` (a temp file plus rename), so readers never observe a
+partial report.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .data import Dataset, DataSplit, SplitSpec, load_csv, pidd_schema, split
 from .distance import Measure
 from .errors import ConfigError
 from .metrics import EvalReport, align_table, evaluate, format_table
+from .mlp import predict as mlp_predict
 
 CLASSIFIER_KINDS = ("automlp", "knn", "nb")
 SCHEMA_NAMES = ("infer", "pidd")
@@ -287,6 +291,8 @@ def read_config_json(path) -> dict:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return obj
@@ -313,12 +319,8 @@ class FittedClassifier:
     automlp_run: Optional[AutoMlpRun] = None
 
 
-def prepare_training_data(
-    train: Dataset,
-    validation: Dataset,
-    pre: Preprocessor,
-    seed: int,
-) -> PreparedTraining:
+def prepare_training_data(train: Dataset, validation: Dataset,
+                          pre: Preprocessor) -> PreparedTraining:
     """Apply one preprocessor to the training data. Never sees the test set."""
     identity = lambda ds: ds  # noqa: E731
     if pre.kind == "none":
@@ -327,10 +329,10 @@ def prepare_training_data(
         zt = ztransform_fit(train)
         return PreparedTraining(zt.apply(train), zt.apply(validation), zt.apply)
     if pre.kind == "bootstrap":
-        return PreparedTraining(bootstrap_sample(train, pre.effective_fraction(), seed),
+        return PreparedTraining(bootstrap_sample(train, pre.effective_fraction(), pre.seed),
                                 validation, identity)
     if pre.kind == "stratified":
-        return PreparedTraining(stratified_sample(train, pre.effective_fraction(), seed),
+        return PreparedTraining(stratified_sample(train, pre.effective_fraction(), pre.seed),
                                 validation, identity)
     if pre.kind == "ecodb":
         report = ecodb_detect(train, pre.outlier)
@@ -339,11 +341,7 @@ def prepare_training_data(
     raise ConfigError(f"unknown preprocessor {pre.kind!r}")
 
 
-def fit_classifier(
-    prepared: PreparedTraining,
-    clf: ClassifierConfig,
-    seed: int,
-) -> FittedClassifier:
+def fit_classifier(prepared: PreparedTraining, clf: ClassifierConfig) -> FittedClassifier:
     """Fit the configured classifier on preprocessed training data.
 
     Taking :class:`PreparedTraining` (only ever produced by
@@ -355,10 +353,7 @@ def fit_classifier(
         raise ConfigError("fit_classifier requires the output of prepare_training_data")
     train, validation = prepared.train, prepared.validation
     if clf.kind == "automlp":
-        params = dataclasses.replace(clf.automlp, seed=seed)
-        run = fit_automlp(train, validation, params)
-        from .mlp import predict as mlp_predict  # local to avoid cycle at import time
-
+        run = fit_automlp(train, validation, clf.automlp)
         return FittedClassifier("automlp", lambda X: mlp_predict(run.winner, X), run)
     if clf.kind == "knn":
         return FittedClassifier("knn", lambda X: knn_predict(train, X, clf.knn_k, clf.knn_measure))
@@ -482,22 +477,27 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
+def repeat_config(config: ExperimentConfig, repeat_index: int) -> ExperimentConfig:
+    """The config of repeat ``repeat_index``: its split, preprocessor and
+    AutoMLP seeds each offset by the index."""
+    def offset(section):
+        return dataclasses.replace(section, seed=section.seed + repeat_index)
+    clf = config.classifier
+    return dataclasses.replace(config, split=offset(config.split),
+                               preprocessor=offset(config.preprocessor),
+                               classifier=dataclasses.replace(clf, automlp=offset(clf.automlp)))
+
+
 def split_repeat(dataset: Dataset, config: ExperimentConfig, repeat_index: int) -> DataSplit:
-    """The split of repeat ``repeat_index``: the split seed offset by the index."""
-    return split(dataset, dataclasses.replace(config.split, seed=config.split.seed + repeat_index))
+    """The split of repeat ``repeat_index``."""
+    return split(dataset, repeat_config(config, repeat_index).split)
 
 
 def run_repeat(parts: DataSplit, config: ExperimentConfig, repeat_index: int) -> RepeatResult:
     """One seeded pass of the pipeline on the split ``split_repeat`` made."""
-    prepared = prepare_training_data(
-        parts.train, parts.validation, config.preprocessor,
-        config.preprocessor.seed + repeat_index
-    )
-    fitted = fit_classifier(
-        prepared,
-        config.classifier,
-        config.classifier.automlp.seed + repeat_index,
-    )
+    seeded = repeat_config(config, repeat_index)
+    prepared = prepare_training_data(parts.train, parts.validation, seeded.preprocessor)
+    fitted = fit_classifier(prepared, seeded.classifier)
     val_report = evaluate_prepared(fitted, prepared.validation)
     target = parts.train if config.evaluate_on_train else parts.test
     test_report = evaluate_raw(fitted, prepared, target)
@@ -513,7 +513,7 @@ def run_repeat(parts: DataSplit, config: ExperimentConfig, repeat_index: int) ->
         history = run.history_json_obj()
     return RepeatResult(
         repeat_index=repeat_index,
-        split_seed=config.split.seed + repeat_index,
+        split_seed=seeded.split.seed,
         n_train=len(prepared.train),
         n_validation=len(prepared.validation),
         n_test=len(target),
@@ -664,16 +664,21 @@ def _write_report(report, out_dir, stem: str) -> Tuple[Path, Path]:
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / f"{stem}.json"
     text_path = out / f"{stem}.txt"
-    _write_atomic(json_path, json.dumps(report.to_json_obj(), indent=2) + "\n")
-    _write_atomic(text_path, report.to_text())
+    write_atomic(json_path, json.dumps(report.to_json_obj(), indent=2) + "\n")
+    write_atomic(text_path, report.to_text())
     return json_path, text_path
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path`` and rename it over
+    ``path``, with the mode a plain ``open`` would have given it."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

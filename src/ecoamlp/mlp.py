@@ -55,7 +55,7 @@ class MlpConfig:
 
 @dataclasses.dataclass
 class MlpNetwork:
-    """Weights plus a count of completed training epochs.
+    """A network's config and weights.
 
     ``w_ih`` has shape (hidden_units, input_dim + 1); column input_dim is
     the hidden bias. ``w_ho`` has shape (hidden_units + 1,); the last
@@ -65,7 +65,6 @@ class MlpNetwork:
     config: MlpConfig
     w_ih: np.ndarray
     w_ho: np.ndarray
-    epochs_trained: int = 0
 
 
 def init_network(config: MlpConfig) -> MlpNetwork:
@@ -153,8 +152,6 @@ def train_epochs(
         layers.bias -= lr_net * delta_out
         layers.W -= lr_col * (delta_h[:, None] * x)
     layers.write_back(networks)
-    for network in networks:
-        network.epochs_trained += 1
 
 
 class _FlatLayers:

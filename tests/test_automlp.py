@@ -135,7 +135,6 @@ class TestWarmStart:
         assert child.config.hidden_units == parent.config.hidden_units
         assert np.array_equal(child.w_ih, parent.w_ih)
         assert np.array_equal(child.w_ho, parent.w_ho)
-        assert child.epochs_trained == parent.epochs_trained
 
     def test_cold_start_draws_fresh_weights(self, train, validation):
         params = AutoMlpParams(ensemble_size=2, cycles_per_generation=2,
@@ -149,7 +148,6 @@ class TestWarmStart:
         child, parent = pop.members[loser], pop.members[survivor]
         assert child.config.hidden_units == parent.config.hidden_units
         assert not np.array_equal(child.w_ih, parent.w_ih)
-        assert child.epochs_trained == 0
 
 
 class TestFitAutomlp:

@@ -104,7 +104,7 @@ class TestBootstrap:
 
     def test_rows_come_from_train(self):
         ds = random_dataset(20, 3, seed=6)
-        sample = bootstrap_sample(ds, seed=1)
+        sample = bootstrap_sample(ds, fraction=1.0, seed=1)
         assert sample.ids.tolist() == list(range(20))
         # continuous features: each drawn row matches exactly one train row
         origin = {tuple(inst.features): inst.label for inst in oracles.instances(ds)}
@@ -113,16 +113,16 @@ class TestBootstrap:
 
     def test_determinism_and_seed_sensitivity(self):
         ds = random_dataset(30, 3, seed=7)
-        a = bootstrap_sample(ds, seed=5)
-        b = bootstrap_sample(ds, seed=5)
-        c = bootstrap_sample(ds, seed=6)
+        a = bootstrap_sample(ds, fraction=1.0, seed=5)
+        b = bootstrap_sample(ds, fraction=1.0, seed=5)
+        c = bootstrap_sample(ds, fraction=1.0, seed=6)
         assert np.array_equal(a.features, b.features)
         assert not np.array_equal(a.features, c.features)
 
     def test_with_replacement_distinct_fraction(self):
         # E[distinct/n] = 1 - (1 - 1/n)^n; check the Monte-Carlo mean
         ds = random_dataset(50, 2, seed=8)
-        rates = [len(np.unique(bootstrap_sample(ds, seed=s).features, axis=0)) / 50
+        rates = [len(np.unique(bootstrap_sample(ds, 1.0, s).features, axis=0)) / 50
                  for s in range(200)]
         expected = 1.0 - (1.0 - 1.0 / 50) ** 50
         assert np.mean(rates) == pytest.approx(expected, abs=0.05)
@@ -130,9 +130,9 @@ class TestBootstrap:
     def test_errors(self):
         ds = random_dataset(10, 2, seed=9)
         with pytest.raises(ConfigError):
-            bootstrap_sample(ds, fraction=0.0)
+            bootstrap_sample(ds, fraction=0.0, seed=0)
         with pytest.raises(DataError):
-            bootstrap_sample(ds.take_rows([]))
+            bootstrap_sample(ds.take_rows([]), fraction=1.0, seed=0)
 
 
 class TestStratified:
@@ -182,12 +182,12 @@ class TestStratified:
     def test_zero_allocation_rejected(self):
         ds = self.two_class_dataset(1, 49)
         with pytest.raises(DataError):
-            stratified_sample(ds, fraction=0.02)
+            stratified_sample(ds, fraction=0.02, seed=0)
 
     def test_single_class_rejected(self):
         ds = self.two_class_dataset(10, 0)
         with pytest.raises(DataError):
-            stratified_sample(ds, fraction=0.9)
+            stratified_sample(ds, fraction=0.9, seed=0)
 
 
 def brute_force_knn(train, query, k, measure_name):
@@ -202,25 +202,28 @@ def brute_force_knn(train, query, k, measure_name):
 class TestKnn:
     def test_one_neighbour_memorises_training_set(self):
         ds = random_dataset(40, 3, seed=10)
-        preds = knn_predict(ds, ds.features, k=1)
+        preds = knn_predict(ds, ds.features, k=1, measure=Measure.EUCLIDEAN)
         assert np.array_equal(preds, ds.labels)
 
     def test_majority_vote(self):
         features = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]])
         ds = Dataset(numeric_schema(2), features, np.array([1, 1, 0]), np.arange(3))
-        assert knn_predict(ds, np.array([[0.5, 0.0]]), k=3).tolist() == [1]
+        query = np.array([[0.5, 0.0]])
+        assert knn_predict(ds, query, k=3, measure=Measure.EUCLIDEAN).tolist() == [1]
 
     def test_even_tie_picks_class_zero(self):
         features = np.array([[0.0, 0.0], [1.0, 0.0]])
         ds = Dataset(numeric_schema(2), features, np.array([1, 0]), np.arange(2))
-        assert knn_predict(ds, np.array([[0.5, 0.0]]), k=2).tolist() == [0]
+        query = np.array([[0.5, 0.0]])
+        assert knn_predict(ds, query, k=2, measure=Measure.EUCLIDEAN).tolist() == [0]
 
     def test_distance_tie_resolves_by_id(self):
         # both neighbours are equidistant; the lower id (label 1) wins k=1
         features = np.array([[1.0, 0.0], [-1.0, 0.0]])
         ds = Dataset(numeric_schema(2), features, np.array([1, 0]),
                      np.array([2, 5]))
-        assert knn_predict(ds, np.array([[0.0, 0.0]]), k=1).tolist() == [1]
+        query = np.array([[0.0, 0.0]])
+        assert knn_predict(ds, query, k=1, measure=Measure.EUCLIDEAN).tolist() == [1]
 
     @pytest.mark.parametrize("measure,name", [
         (Measure.EUCLIDEAN, "euclidean"), (Measure.CORRELATION, "correlation"),
@@ -260,11 +263,11 @@ class TestKnn:
     def test_errors(self):
         ds = random_dataset(5, 2, seed=13)
         with pytest.raises(ConfigError):
-            knn_predict(ds, ds.features, k=0)
+            knn_predict(ds, ds.features, k=0, measure=Measure.EUCLIDEAN)
         with pytest.raises(ConfigError):
-            knn_predict(ds, ds.features, k=6)
+            knn_predict(ds, ds.features, k=6, measure=Measure.EUCLIDEAN)
         with pytest.raises(DataError):
-            knn_predict(ds.take_rows([]), ds.features, k=1)
+            knn_predict(ds.take_rows([]), ds.features, k=1, measure=Measure.EUCLIDEAN)
 
 
 class TestNaiveBayes:

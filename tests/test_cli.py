@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import stat
 
 import pytest
 
@@ -26,6 +28,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def unreadable(tmp_path, kind):
+    """A path that exists but cannot be read as text: bytes that are not
+    UTF-8, or a directory."""
+    path = tmp_path / f"{kind}.csv"
+    if kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe1,2,0\n3,4,1\n")
+    else:
+        path.mkdir()
+    return path
 
 
 class TestRun:
@@ -93,13 +106,13 @@ class TestRun:
 def written(monkeypatch):
     """Names of the report files written, one entry per write."""
     names = []
-    original = harness._write_atomic
+    original = harness.write_atomic
 
     def record(path, text):
         names.append(path.name)
         return original(path, text)
 
-    monkeypatch.setattr(harness, "_write_atomic", record)
+    monkeypatch.setattr(harness, "write_atomic", record)
     return names
 
 
@@ -133,6 +146,28 @@ class TestReportFilesWrittenOnce:
         assert_same_files(out_dir, harness.write_sweep_report(report, tmp_path / "expected"))
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o002], ids=oct)
+def test_output_files_get_the_mode_of_a_plain_open(data_csv, capsys, tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        out = tmp_path / "out"
+        for argv in (["run", "--classifier", "knn"],
+                     ["sweep", "--classifier", "knn", "--variants", "none"]):
+            assert run_cli(capsys, *argv, "--data", data_csv, "--output", str(out))[0] == 0
+        assert run_cli(capsys, "detect-outliers", "--data", data_csv, "--k", "5",
+                       "--output", str(out / "outliers.json"))[0] == 0
+    finally:
+        os.umask(old)
+    want = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+    assert want == 0o666 & ~umask
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert sorted(modes) == ["outliers.json", "report.json", "report.txt",
+                             "sweep.json", "sweep.txt"]
+    assert set(modes.values()) == {want}
+
+
 def assert_same_files(out_dir, expected_paths):
     for path in expected_paths:
         assert (out_dir / path.name).read_bytes() == path.read_bytes()
@@ -162,6 +197,21 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "run", "--config", "/nonexistent.json")
         assert code == 1
         assert "no such config" in err
+
+    @pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+    def test_unreadable_data_is_exit_two(self, capsys, tmp_path, kind):
+        path = unreadable(tmp_path, kind)
+        for command in ("run", "detect-outliers"):
+            code, _, err = run_cli(capsys, command, "--data", str(path))
+            assert code == 2
+            assert err.startswith(f"error: {path}: cannot read: ")
+
+    @pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+    def test_unreadable_config_is_exit_one(self, capsys, tmp_path, kind):
+        path = unreadable(tmp_path, kind)
+        code, _, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 1
+        assert err.startswith(f"error: {path}: cannot read: ")
 
     def test_invalid_repeats(self, data_csv, capsys):
         code, _, _ = run_cli(capsys, "run", "--data", data_csv,
@@ -340,6 +390,21 @@ class TestDetectOutliers:
         assert code == 0
         assert f"wrote {path}" in out
         assert json.loads(path.read_text())["k"] == 5
+
+    def test_output_file_is_replaced_whole_or_not_at_all(self, data_csv, capsys, tmp_path,
+                                                          monkeypatch):
+        path = tmp_path / "outliers.json"
+        path.write_text("old\n")
+
+        def crash(src, dst):
+            raise OSError("crashed before the rename")
+
+        monkeypatch.setattr(harness.os, "replace", crash)
+        code, _, err = run_cli(capsys, "detect-outliers", "--data", data_csv,
+                               "--k", "5", "--output", str(path))
+        assert code == 3 and "crashed before the rename" in err
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "outliers.json"]
 
     def test_nominal_csv_is_a_data_error(self, capsys, tmp_path):
         path = tmp_path / "nominal.csv"

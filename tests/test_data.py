@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -358,6 +362,71 @@ class TestLoadCsv:
         path.write_text(f"{first}\n1,2,3,4,5,6,7,8,0\n8,7,6,5,4,3,2,1,1\n")
         with pytest.raises(DataError, match=message):
             load_csv(path, schema)
+
+
+def _load_pidd_table():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "pidd_table.py"
+    spec = importlib.util.spec_from_file_location("pidd_table", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pidd_table = _load_pidd_table()
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+               1e308, -1e308, 1.7976931348623157e308)
+"""Signed zeros, subnormals and the largest magnitudes, which a CSV cell
+must carry bit for bit."""
+
+
+@st.composite
+def synth_tables(draw):
+    """A finite float64 table with both class labels, its column names, and
+    whether it is written with a header. Without one it has at least two
+    rows, since a lone row is a header."""
+    header = draw(st.booleans())
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 12))
+    cells = st.one_of(st.sampled_from(EDGE_FLOATS),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    features = np.array(draw(st.lists(st.lists(cells, min_size=d, max_size=d),
+                                      min_size=n, max_size=n)), dtype=np.float64)
+    labels = np.array([0, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 2,
+                                              max_size=n - 2)))
+    labels = labels[draw(st.permutations(range(n)))]
+    names = (draw(st.lists(st.from_regex(r"x[a-z0-9_]{0,6}", fullmatch=True),
+                           min_size=d, max_size=d, unique=True))
+             if header else [f"f{i}" for i in range(d)])
+    return Dataset(Schema(tuple(names), ("0", "1")), features, labels, np.arange(n)), header
+
+
+class TestCsvRoundTrip:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(synth_tables())
+    def test_synth_write_csv_loads_bit_equal(self, case):
+        ds, header = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            write_csv(path, ds, header=header)
+            loaded = load_csv(path)
+        # compared as bytes: the sign of zero and every subnormal bit included
+        assert loaded.features.tobytes() == ds.features.tobytes()
+        assert loaded.labels.tolist() == ds.labels.tolist()
+        assert loaded.schema.features == ds.schema.features
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(st.integers(2, 80), st.integers(0, 2**32 - 1))
+    def test_pidd_table_write_csv_loads_rounded(self, n_rows, seed):
+        features, labels = pidd_table.generate(n_rows, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pidd.csv"
+            pidd_table.write_csv(path, features, labels)
+            loaded = load_csv(path, pidd_schema())
+        want = np.column_stack([np.round(features[:, j], pidd_table.DECIMALS.get(name, 0))
+                                for j, name in enumerate(pidd_table.COLUMNS)])
+        assert loaded.features.tobytes() == want.tobytes()
+        assert loaded.labels.tolist() == labels.tolist()
 
 
 class TestInferSchema:

@@ -28,6 +28,7 @@ from ecoamlp.harness import (
     load_dataset,
     prepare_training_data,
     read_config_json,
+    repeat_config,
     run_experiment,
     run_repeat,
     run_sweep,
@@ -181,7 +182,7 @@ class TestConfig:
 class TestPrepare:
     def test_none_is_identity(self, parts):
         prepared = prepare_training_data(parts.train, parts.validation,
-                                         Preprocessor(kind="none"), seed=0)
+                                         Preprocessor(kind="none"))
         assert prepared.train is parts.train
         assert prepared.validation is parts.validation
         assert prepared.transform(parts.test) is parts.test
@@ -189,7 +190,7 @@ class TestPrepare:
 
     def test_ztransform_standardises_and_exports_transform(self, parts):
         prepared = prepare_training_data(parts.train, parts.validation,
-                                         Preprocessor(kind="ztransform"), seed=0)
+                                         Preprocessor(kind="ztransform"))
         assert np.allclose(prepared.train.features.mean(axis=0), 0.0, atol=1e-9)
         assert np.allclose(prepared.train.features.std(axis=0), 1.0, atol=1e-9)
         mean = parts.train.features.mean(axis=0)
@@ -203,7 +204,7 @@ class TestPrepare:
     def test_bootstrap_resizes_train_only(self, parts):
         prepared = prepare_training_data(
             parts.train, parts.validation,
-            Preprocessor(kind="bootstrap", fraction=0.5, seed=1), seed=7)
+            Preprocessor(kind="bootstrap", fraction=0.5, seed=1))
         assert len(prepared.train) == round(0.5 * len(parts.train))
         assert prepared.train.ids.tolist() == list(range(len(prepared.train)))
         assert prepared.validation is parts.validation
@@ -211,40 +212,42 @@ class TestPrepare:
     def test_stratified_keeps_proportions(self, parts):
         prepared = prepare_training_data(
             parts.train, parts.validation,
-            Preprocessor(kind="stratified", fraction=0.5), seed=7)
+            Preprocessor(kind="stratified", fraction=0.5, seed=7))
         assert len(prepared.train) == round(0.5 * len(parts.train))
         assert set(prepared.train.ids.tolist()) <= set(parts.train.ids.tolist())
 
     def test_ecodb_removes_reported_outliers(self, parts):
         pre = Preprocessor(kind="ecodb",
                            outlier=OutlierParams(k=5, n_outliers=4))
-        prepared = prepare_training_data(parts.train, parts.validation, pre, seed=0)
+        prepared = prepare_training_data(parts.train, parts.validation, pre)
         assert prepared.outliers is not None
         assert len(prepared.outliers.ranked) == 4
         assert len(prepared.train) == len(parts.train) - 4
         assert not set(prepared.train.ids) & set(prepared.outliers.outlier_ids)
 
-    def test_sampling_seed_comes_from_argument(self, parts):
-        pre = Preprocessor(kind="bootstrap", seed=0)
-        a = prepare_training_data(parts.train, parts.validation, pre, seed=1)
-        b = prepare_training_data(parts.train, parts.validation, pre, seed=2)
-        assert not np.array_equal(a.train.features, b.train.features)
+    def test_sampling_seed_comes_from_section(self, parts):
+        for kind in ("bootstrap", "stratified"):
+            a, b, c = (prepare_training_data(parts.train, parts.validation,
+                                             Preprocessor(kind=kind, fraction=0.5, seed=seed))
+                       for seed in (1, 2, 1))
+            assert not np.array_equal(a.train.features, b.train.features), kind
+            assert np.array_equal(a.train.features, c.train.features), kind
 
 
 class TestFitAndEvaluate:
     def test_requires_prepared_training(self, parts):
         clf = ClassifierConfig(kind="knn")
         with pytest.raises(ConfigError, match="prepare_training_data"):
-            fit_classifier((parts.train, parts.validation), clf, seed=0)
+            fit_classifier((parts.train, parts.validation), clf)
         with pytest.raises(ConfigError, match="prepare_training_data"):
-            fit_classifier(parts.train, clf, seed=0)
+            fit_classifier(parts.train, clf)
 
     @pytest.mark.parametrize("kind", ["automlp", "knn", "nb"])
     def test_each_classifier_fits_and_scores(self, parts, kind):
         prepared = prepare_training_data(parts.train, parts.validation,
-                                         Preprocessor(kind="none"), seed=0)
+                                         Preprocessor(kind="none"))
         clf = ClassifierConfig(kind=kind, automlp=TINY_AUTOMLP, knn_k=3)
-        fitted = fit_classifier(prepared, clf, seed=0)
+        fitted = fit_classifier(prepared, clf)
         assert fitted.kind == kind
         rep = evaluate_prepared(fitted, prepared.validation)
         assert 0.0 <= rep.accuracy <= 1.0
@@ -252,9 +255,8 @@ class TestFitAndEvaluate:
 
     def test_evaluate_raw_applies_fitted_transform(self, parts):
         prepared = prepare_training_data(parts.train, parts.validation,
-                                         Preprocessor(kind="ztransform"), seed=0)
-        fitted = fit_classifier(prepared, ClassifierConfig(kind="knn", knn_k=3),
-                                seed=0)
+                                         Preprocessor(kind="ztransform"))
+        fitted = fit_classifier(prepared, ClassifierConfig(kind="knn", knn_k=3))
         raw = evaluate_raw(fitted, prepared, parts.test)
         cooked = evaluate_prepared(fitted, prepared.transform(parts.test))
         assert raw == cooked
@@ -265,6 +267,34 @@ def repeat(dataset, config, index):
 
 
 class TestRunRepeat:
+    def test_repeat_config_offsets_every_seed(self):
+        config = knn_config(
+            preprocessor=Preprocessor(kind="bootstrap", seed=4),
+            classifier=ClassifierConfig(kind="automlp",
+                                        automlp=dataclasses.replace(TINY_AUTOMLP, seed=8)))
+        # seeds 3, 4 and 8 each offset by 2; every other setting as configured
+        assert repeat_config(config, 2) == dataclasses.replace(
+            config,
+            split=dataclasses.replace(config.split, seed=5),
+            preprocessor=dataclasses.replace(config.preprocessor, seed=6),
+            classifier=dataclasses.replace(
+                config.classifier,
+                automlp=dataclasses.replace(config.classifier.automlp, seed=10)))
+        assert repeat_config(config, 0) == config
+
+    def test_stages_use_the_repeat_seeds(self, dataset):
+        config = knn_config(
+            preprocessor=Preprocessor(kind="bootstrap", fraction=0.5, seed=4),
+            classifier=ClassifierConfig(kind="automlp", automlp=TINY_AUTOMLP))
+        parts = split_repeat(dataset, config, 2)
+        result = run_repeat(parts, config, 2)
+        # repeat 2's stages, run by hand on the sections of repeat_config
+        seeded = repeat_config(config, 2)
+        prepared = prepare_training_data(parts.train, parts.validation, seeded.preprocessor)
+        fitted = fit_classifier(prepared, seeded.classifier)
+        assert result.automlp_history == fitted.automlp_run.history_json_obj()
+        assert result.validation == evaluate_prepared(fitted, prepared.validation)
+
     def test_split_seed_offsets_by_repeat(self, dataset):
         config = knn_config()
         r0 = repeat(dataset, config, 0)

@@ -54,7 +54,6 @@ class TestInit:
         assert net.w_ho.shape == (8,)
         assert np.all(np.abs(net.w_ih) <= 1.0 / np.sqrt(6))
         assert np.all(np.abs(net.w_ho) <= 1.0 / np.sqrt(8))
-        assert net.epochs_trained == 0
 
     def test_seed_determinism(self):
         config = MlpConfig(input_dim=4, hidden_units=3, learning_rate=0.1,
@@ -181,7 +180,6 @@ class TestTraining:
         train_epoch(net, self.one_row_dataset(x, label), shuffle_seed=0)
         assert np.allclose(net.w_ho, want_ho, atol=1e-12)
         assert np.allclose(net.w_ih, want_ih, atol=1e-12)
-        assert net.epochs_trained == 1
 
     def test_zero_learning_rate_is_identity(self):
         config = MlpConfig(input_dim=3, hidden_units=4, learning_rate=0.0,
@@ -191,7 +189,6 @@ class TestTraining:
         train_epoch(net, random_dataset(20, 3, seed=4), shuffle_seed=1)
         assert np.array_equal(net.w_ih, before_ih)
         assert np.array_equal(net.w_ho, before_ho)
-        assert net.epochs_trained == 1
 
     def test_step_direction_reduces_single_instance_loss(self):
         net = tiny_network()
@@ -278,7 +275,6 @@ class TestLockstep:
             # compared as bytes: bit for bit, NaN and the sign of zero included
             assert net.w_ih.tobytes() == single.w_ih.tobytes()
             assert net.w_ho.tobytes() == single.w_ho.tobytes()
-            assert net.epochs_trained == single.epochs_trained == 1
 
     def test_empty_dataset_rejected(self):
         empty = Dataset(numeric_schema(2), np.empty((0, 2)),
@@ -296,7 +292,6 @@ class TestLockstep:
             train_epochs(networks, ds, [0, 1, 2])
         # nothing trains when any member is rejected
         assert all(np.array_equal(net.w_ih, w) for net, w in zip(networks, before))
-        assert all(net.epochs_trained == 0 for net in networks)
 
     def test_one_seed_per_network(self):
         with pytest.raises(ValueError, match="shuffle seeds"):
