@@ -1,10 +1,10 @@
 """Golden trace: SHA-256 digests of seeded outputs, pinned bit for bit.
 
-Each digest covers the exact bytes of a float64 array or the JSON text
-(``repr`` floats, sorted keys) of a seeded result. A refactor or speedup
-that claims to keep behaviour must keep every digest; a change that moves
-numerics has to say so and justify new digests, never silently re-record
-them.
+Each digest covers the exact bytes of a float64 array, the JSON text
+(``repr`` floats, sorted keys) of a seeded result, or the text of a
+report. A refactor or speedup that claims to keep behaviour must keep
+every digest; a change that moves numerics has to say so and justify new
+digests, never silently re-record them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from ecoamlp.baselines import Preprocessor
 from ecoamlp.class_outlier import OutlierParams, codb_detect, ecodb_detect
 from ecoamlp.data import SplitSpec, split
 from ecoamlp.distance import Measure, cross_distances, pairwise_distances
-from ecoamlp.harness import ClassifierConfig, ExperimentConfig, run_experiment
+from ecoamlp.harness import ClassifierConfig, ExperimentConfig, run_experiment, run_sweep
 
 from synth import random_dataset
 
@@ -175,19 +175,62 @@ def run_dataset():
     return random_dataset(140, 4, seed=8, separation=1.2, positive_fraction=0.35)
 
 
-@pytest.mark.parametrize("preprocessor,classifier", sorted(RUN_GOLDEN))
-def test_run_report(run_dataset, preprocessor, classifier):
-    config = ExperimentConfig(
+def _run_config(preprocessor: str, classifier: str, knn_k: int = 3) -> ExperimentConfig:
+    return ExperimentConfig(
         split=SplitSpec(seed=3),
         preprocessor=Preprocessor(kind=preprocessor, seed=2,
                                   outlier=OutlierParams(k=5, n_outliers=6,
                                                         measure=Measure.EUCLIDEAN)),
         classifier=ClassifierConfig(
-            kind=classifier, knn_k=3,
+            kind=classifier, knn_k=knn_k,
             automlp=AutoMlpParams(ensemble_size=2, cycles_per_generation=2, generations=2,
                                   hidden_range=(2, 6), lr_range=(0.01, 0.5), seed=1)),
         repeats=2,
     )
-    report = run_experiment(config, dataset=run_dataset)
+
+
+@pytest.mark.parametrize("preprocessor,classifier", sorted(RUN_GOLDEN))
+def test_run_report(run_dataset, preprocessor, classifier):
+    report = run_experiment(_run_config(preprocessor, classifier), dataset=run_dataset)
     obj = report.to_json_obj(include_timestamp=False)
     assert _json_digest(obj) == RUN_GOLDEN[(preprocessor, classifier)]
+
+
+def _text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# The text reports, pinned apart from the JSON they are printed from. No
+# AutoMLP run, so no digest depends on BLAS. The "starred" run predicts
+# class 0 for every row, so its precision_pos is a 0/0 cell.
+RUN_TEXT_GOLDEN = {
+    ("ecodb", "knn"): "baf813051b024521fe537c97e2f888f9c98237e854926ab3d253b3ba95332622",
+    ("none", "nb"): "41e0e6efbb9995941388b7bcc49c23c942b3762801796f5485ee4745b0451f73",
+    ("starred", "knn"): "01d42a90a23868f0e112d105d70b6b0e8742ed42aa5103d4e5b16818ad6b4698",
+    ("ztransform", "knn"): "b475398b4949df6ef8c7891d556c16d10690c9e98aaa125543b8a1a602e1edc4",
+}
+
+
+@pytest.mark.parametrize("preprocessor,classifier", sorted(RUN_TEXT_GOLDEN))
+def test_run_text(run_dataset, preprocessor, classifier):
+    if preprocessor == "starred":
+        dataset = random_dataset(140, 4, seed=8, separation=0.3, positive_fraction=0.15)
+        config = _run_config("none", classifier, knn_k=21)
+    else:
+        dataset, config = run_dataset, _run_config(preprocessor, classifier)
+    text = run_experiment(config, dataset=dataset).to_text()
+    lines = text.splitlines(keepends=True)
+    assert lines[1].startswith("created ")
+    text = "".join(lines[:1] + lines[2:])
+    assert _text_digest(text) == RUN_TEXT_GOLDEN[(preprocessor, classifier)]
+
+
+SWEEP_TEXT_GOLDEN = "6640c27d413bb31703a841241e8ab24ee749845446629f8d2f95813512c4fe0f"
+
+
+def test_sweep_text(run_dataset):
+    sweep = run_sweep(_run_config("none", "nb"), "preprocessor", ["none", "ztransform", "ecodb"],
+                      dataset=run_dataset)
+    text = sweep.to_text()
+    assert "reference expectation (not met" in text
+    assert _text_digest(text) == SWEEP_TEXT_GOLDEN
