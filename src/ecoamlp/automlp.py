@@ -85,9 +85,6 @@ class MemberRecord:
     validation_error: float
     replaced: bool
 
-    def to_json_obj(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass
 class AutoMlpPopulation:
@@ -113,7 +110,7 @@ class AutoMlpRun:
         return self.history[-1][self.winner_slot].validation_error
 
     def history_json_obj(self) -> list:
-        return [[r.to_json_obj() for r in gen] for gen in self.history]
+        return [[dataclasses.asdict(r) for r in gen] for gen in self.history]
 
 
 def init_population(params: AutoMlpParams, input_dim: int) -> AutoMlpPopulation:

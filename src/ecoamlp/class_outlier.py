@@ -85,16 +85,6 @@ class ScoredInstance:
     score: float
     flagged: bool = False
 
-    def to_json_obj(self) -> dict:
-        return {
-            "id": self.id,
-            "pcl": self.pcl,
-            "deviation": self.deviation,
-            "kdist": self.kdist,
-            "score": self.score,
-            "flagged": self.flagged,
-        }
-
 
 @dataclasses.dataclass(frozen=True)
 class OutlierReport:
@@ -109,15 +99,10 @@ class OutlierReport:
         return tuple(s.id for s in self.ranked)
 
     def to_json_obj(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "k": self.params.k,
-            "n_outliers": self.params.n_outliers,
-            "measure": self.params.measure.value,
-            "alpha": self.params.alpha,
-            "beta": self.params.beta,
-            "outliers": [s.to_json_obj() for s in self.ranked],
-        }
+        params = dataclasses.asdict(self.params)
+        params["measure"] = self.params.measure.value
+        return {"algorithm": self.algorithm, **params,
+                "outliers": [dataclasses.asdict(s) for s in self.ranked]}
 
 
 def cof(k: int, pcl_value, deviation_value, kdist_value, alpha: float, beta: float):

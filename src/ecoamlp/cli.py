@@ -12,8 +12,9 @@ Three subcommands:
 Flags override values from ``--config``. Every feature column of the CSV
 must be numeric. The report files of ``run`` and ``sweep`` are written here,
 once, after the harness returns; every output file is written whole or not
-at all. Exit codes: 0 success, 1 bad configuration (an unknown measure among
-them), 2 bad data (a non-numeric feature cell among them), 3 internal error.
+at all. Exit codes: 0 success, 1 bad configuration (an unknown measure or an
+output path that cannot be written among them), 2 bad data (a non-numeric
+feature cell among them), 3 internal error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .class_outlier import codb_detect, ecodb_detect
 from .errors import ConfigError, DataError
@@ -142,21 +143,21 @@ def _experiment_config(args) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _experiment_config(args)
-    report = run_experiment(config)
-    print(report.to_text(), end="")
-    if config.output_dir:
-        json_path, text_path = write_run_report(report, config.output_dir)
-        print(f"wrote {json_path} and {text_path}")
-    return 0
+    return _print_and_write(run_experiment(config), config.output_dir, write_run_report)
 
 
 def _cmd_sweep(args) -> int:
     config = _experiment_config(args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     report = run_sweep(config, args.axis, variants)
+    return _print_and_write(report, config.output_dir, write_sweep_report)
+
+
+def _print_and_write(report, out_dir: Optional[str], write: Callable) -> int:
+    """Print ``report``, and save it with ``write`` when ``out_dir`` is set."""
     print(report.to_text(), end="")
-    if config.output_dir:
-        json_path, text_path = write_sweep_report(report, config.output_dir)
+    if out_dir:
+        json_path, text_path = write(report, out_dir)
         print(f"wrote {json_path} and {text_path}")
     return 0
 

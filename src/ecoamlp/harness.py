@@ -21,6 +21,8 @@ given: an unset ``preprocessor.fraction`` is ``null``, never its default.
 
 Reports serialise to JSON (stable key order; the timestamp is the only
 field that varies between identical runs) and to an aligned text table.
+The per-score aggregates and every score column and line of the text come
+from ``metrics.SCORES``, in its order.
 ``run_experiment`` and ``run_sweep`` only return reports; the CLI writes
 them with ``write_run_report`` and ``write_sweep_report``, through
 :func:`write_atomic` (a temp file plus rename), so readers never observe a
@@ -32,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import statistics
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
@@ -59,7 +62,7 @@ from .class_outlier import (
 from .data import Dataset, DataSplit, SplitSpec, load_csv, pidd_schema, split
 from .distance import Measure
 from .errors import ConfigError
-from .metrics import EvalReport, align_table, evaluate, format_table
+from .metrics import SCORES, EvalReport, evaluate, format_table, score_table
 from .mlp import predict as mlp_predict
 
 CLASSIFIER_KINDS = ("automlp", "knn", "nb")
@@ -406,25 +409,12 @@ class RepeatResult:
         return obj
 
 
-AGGREGATED_METRICS = (
-    "accuracy",
-    "precision_pos",
-    "recall_pos",
-    "precision_neg",
-    "recall_neg",
-    "weighted_mean_precision",
-    "weighted_mean_recall",
-)
-
-
 def aggregate_reports(reports: Sequence[EvalReport]) -> Dict[str, Dict[str, float]]:
-    """Median, min, and max of each metric across repeats."""
+    """Median, min, and max of each score across repeats."""
     out: Dict[str, Dict[str, float]] = {}
-    for name in AGGREGATED_METRICS:
+    for name in SCORES:
         values = sorted(getattr(r, name) for r in reports)
-        mid = len(values) // 2
-        median = values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2.0
-        out[name] = {"median": median, "min": values[0], "max": values[-1]}
+        out[name] = {"median": statistics.median(values), "min": values[0], "max": values[-1]}
     return out
 
 
@@ -464,11 +454,8 @@ class RunReport:
             "",
             format_table(rows),
             "",
-            "test medians over "
-            f"{len(self.repeats)} repeat(s): "
-            + ", ".join(
-                f"{name} {agg[name]['median'] * 100:.2f}%" for name in AGGREGATED_METRICS
-            ),
+            f"test medians over {len(self.repeats)} repeat(s): "
+            + ", ".join(f"{name} {agg[name]['median'] * 100:.2f}%" for name in SCORES),
         ]
         flagged = sorted({name for r in self.repeats
                           for name in r.validation.undefined + r.test.undefined})
@@ -575,17 +562,12 @@ class SweepReport:
         return obj
 
     def to_text(self) -> str:
-        header = ("variant", "acc%", "wm prec%", "wm rec%")
+        names = ("accuracy", "weighted_mean_precision", "weighted_mean_recall")
         body = []
         for v in self.variants:
             agg = self.runs[v].aggregates["test"]
-            body.append((
-                v,
-                f"{agg['accuracy']['median'] * 100:.2f}",
-                f"{agg['weighted_mean_precision']['median'] * 100:.2f}",
-                f"{agg['weighted_mean_recall']['median'] * 100:.2f}",
-            ))
-        lines = [f"sweep over {self.axis} (test medians)", align_table(header, body)]
+            body.append((v, [agg[name]["median"] for name in names], ()))
+        lines = [f"sweep over {self.axis} (test medians)", score_table("variant", names, body)]
         for e in self.expectations:
             status = "met" if e["met"] else "not met"
             lines.append(
@@ -661,7 +643,10 @@ def write_sweep_report(report: SweepReport, out_dir) -> Tuple[Path, Path]:
 
 def _write_report(report, out_dir, stem: str) -> Tuple[Path, Path]:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{out}: cannot make the output directory: {exc.strerror}") from None
     json_path = out / f"{stem}.json"
     text_path = out / f"{stem}.txt"
     write_atomic(json_path, json.dumps(report.to_json_obj(), indent=2) + "\n")
@@ -672,7 +657,10 @@ def _write_report(report, out_dir, stem: str) -> Tuple[Path, Path]:
 def write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to a temp file beside ``path`` and rename it over
     ``path``, with the mode a plain ``open`` would have given it."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

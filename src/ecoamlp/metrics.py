@@ -5,16 +5,30 @@ and recall are reported for both classes; the "weighted mean" variants
 average the two classes with equal weight. Any 0/0 ratio is defined as 0
 and the affected metric names are flagged in the report so downstream
 tables can mark them.
+
+``SCORES`` is the one list of reported scores: the report JSON, the text
+tables and the harness's aggregates take their scores from it, in order.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence, Tuple
+from typing import Collection, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DataError
+
+SCORES = {
+    "accuracy": "acc%",
+    "precision_pos": "prec+%",
+    "recall_pos": "rec+%",
+    "precision_neg": "prec-%",
+    "recall_neg": "rec-%",
+    "weighted_mean_precision": "wm prec%",
+    "weighted_mean_recall": "wm rec%",
+}
+"""Each score's ``EvalReport`` field and JSON key: its text-table header."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -34,9 +48,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
 
-    def to_json_obj(self) -> dict:
-        return {"tp": self.tp, "tn": self.tn, "fp": self.fp, "fn": self.fn}
-
 
 @dataclasses.dataclass(frozen=True)
 class EvalReport:
@@ -52,14 +63,8 @@ class EvalReport:
 
     def to_json_obj(self) -> dict:
         return {
-            "confusion": self.matrix.to_json_obj(),
-            "accuracy": self.accuracy,
-            "precision_pos": self.precision_pos,
-            "recall_pos": self.recall_pos,
-            "precision_neg": self.precision_neg,
-            "recall_neg": self.recall_neg,
-            "weighted_mean_precision": self.weighted_mean_precision,
-            "weighted_mean_recall": self.weighted_mean_recall,
+            "confusion": dataclasses.asdict(self.matrix),
+            **{name: getattr(self, name) for name in SCORES},
             "undefined": list(self.undefined),
         }
 
@@ -119,33 +124,21 @@ def evaluate(predictions: Sequence[int], truths: Sequence[int]) -> EvalReport:
 
 
 def format_table(rows: Sequence[Tuple[str, EvalReport]]) -> str:
-    """Aligned text table of labelled reports, metrics as percentages."""
-    headers = ("run", "acc%", "prec+%", "rec+%", "prec-%", "rec-%", "wm prec%", "wm rec%")
-    body = []
-    for label, rep in rows:
-        body.append(
-            (
-                label,
-                f"{rep.accuracy * 100:.2f}",
-                _cell(rep, "precision_pos", rep.precision_pos),
-                _cell(rep, "recall_pos", rep.recall_pos),
-                _cell(rep, "precision_neg", rep.precision_neg),
-                _cell(rep, "recall_neg", rep.recall_neg),
-                f"{rep.weighted_mean_precision * 100:.2f}",
-                f"{rep.weighted_mean_recall * 100:.2f}",
-            )
-        )
-    return align_table(headers, body)
+    """Aligned text table of labelled reports, every score as a percentage
+    and starred where it was 0/0."""
+    return score_table("run", SCORES, [(label, [getattr(rep, name) for name in SCORES],
+                                        rep.undefined) for label, rep in rows])
 
 
-def align_table(header: Sequence[str], body: Sequence[Sequence[str]]) -> str:
-    """Left-aligned columns two spaces apart, the header over a dash rule."""
+def score_table(label_header: str, names: Sequence[str],
+                rows: Sequence[Tuple[str, Sequence[float], Collection[str]]]) -> str:
+    """Left-aligned columns two spaces apart under a dash rule: each row's
+    label, then its ``names`` scores as percentages, starred where named."""
+    header = [label_header, *(SCORES[name] for name in names)]
+    body = [[label, *(f"{value * 100:.2f}{'*' if name in starred else ''}"
+                      for name, value in zip(names, values))]
+            for label, values, starred in rows]
     widths = [max([len(h), *(len(r[c]) for r in body)]) for c, h in enumerate(header)]
     lines = [header, ["-" * w for w in widths], *body]
     return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths))
                      for line in lines)
-
-
-def _cell(rep: EvalReport, name: str, value: float) -> str:
-    mark = "*" if name in rep.undefined else ""
-    return f"{value * 100:.2f}{mark}"

@@ -213,6 +213,24 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith(f"error: {path}: cannot read: ")
 
+    def test_unwritable_output_file_is_config_error(self, data_csv, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, _, err = run_cli(capsys, "detect-outliers", "--data", data_csv,
+                               "--k", "5", "--output", str(path))
+        assert code == 1
+        assert err.startswith(f"error: {path}: cannot write: ") and ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+    def test_output_dir_that_is_a_file_is_config_error(self, data_csv, capsys, tmp_path):
+        path = tmp_path / "taken"
+        path.write_text("old\n")
+        code, _, err = run_cli(capsys, "run", "--data", data_csv, "--classifier", "knn",
+                               "--output", str(path))
+        assert code == 1
+        assert err.startswith(f"error: {path}: cannot make the output directory: ")
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "taken"]
+
     def test_invalid_repeats(self, data_csv, capsys):
         code, _, _ = run_cli(capsys, "run", "--data", data_csv,
                              "--classifier", "knn", "--repeats", "0")

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oracles
 from ecoamlp.errors import DataError
 from ecoamlp.metrics import (
+    SCORES,
     ConfusionMatrix,
+    EvalReport,
     confusion,
     evaluate,
     format_table,
@@ -121,6 +125,14 @@ class TestReport:
         assert obj["confusion"] == {"tp": 5, "tn": 5, "fp": 1, "fn": 1}
         assert obj["undefined"] == []
         assert obj["accuracy"] == pytest.approx(10 / 12)
+
+    def test_score_table_holds_every_score_field(self):
+        # a score left out of SCORES would be missing from the JSON, the
+        # text tables and the aggregates alike
+        scores = [f.name for f in dataclasses.fields(EvalReport) if f.type == "float"]
+        assert list(SCORES) == scores
+        obj = report(ConfusionMatrix(5, 5, 1, 1)).to_json_obj()
+        assert list(obj) == ["confusion", *scores, "undefined"]
 
 
 class TestFormatTable:
