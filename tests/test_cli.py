@@ -298,6 +298,28 @@ class TestExitCodes:
             assert code == 1
             assert err.startswith(f"error: {key}: expected ")
 
+    @pytest.mark.parametrize("obj,message", [
+        ({"preprocessor": 5}, "preprocessor section must be a JSON object"),
+        ({"preprocessor": {"outlier": []}}, "outlier section must be a JSON object"),
+        ({"classifier": {"automlp": "x"}}, "automlp section must be a JSON object"),
+        ({"classifier": {"automlp": {"bogus": 1}}}, "unknown automlp option(s): bogus"),
+        ({"split": {"seed": -1}}, "seed must be non-negative"),
+        ({"preprocessor": {"seed": -2}}, "seed must be >= 0"),
+    ])
+    def test_config_error_message(self, capsys, tmp_path, obj, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        assert run_cli(capsys, "run", "--config", str(path)) == (1, "", f"error: {message}\n")
+
+    def test_flag_value_error_message(self, capsys):
+        assert run_cli(capsys, "run", "--knn-k", "0") == (1, "", "error: knn_k must be >= 1, got 0\n")
+
+    def test_one_column_csv_is_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("a\n1\n2\n")
+        assert run_cli(capsys, "detect-outliers", "--data", str(path)) == \
+            (2, "", f"error: {path}: need at least one feature column plus a label\n")
+
     def test_flags_keep_their_types(self, capsys):
         args = ecoamlp.cli._build_parser().parse_args([
             "run", "--outlier-k", "3", "--alpha", "2", "--split-seed", "4", "--fraction", "1",
