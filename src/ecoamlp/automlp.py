@@ -109,9 +109,6 @@ class AutoMlpRun:
     def winner_validation_error(self) -> float:
         return self.history[-1][self.winner_slot].validation_error
 
-    def history_json_obj(self) -> list:
-        return [[dataclasses.asdict(r) for r in gen] for gen in self.history]
-
 
 def init_population(params: AutoMlpParams, input_dim: int) -> AutoMlpPopulation:
     """Seeded initial ensemble with log-uniform hyperparameters."""

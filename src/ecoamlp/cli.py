@@ -45,7 +45,6 @@ from .harness import (
     write_sweep_report,
 )
 
-_FIELDS = {f.key: f for f in CONFIG_FIELDS}
 _FLAG_TYPES = {json_int: int, json_float: float}
 
 
@@ -108,15 +107,15 @@ def _build_parser() -> _Parser:
 def _experiment_flags() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", metavar="FILE", help="JSON config; flags override it")
-    for f in CONFIG_FIELDS:
-        _add_flag(p, f.key)
+    for key in CONFIG_FIELDS:
+        _add_flag(p, key)
     return p
 
 
 def _add_flag(parser: argparse.ArgumentParser, key: str, flag: Optional[str] = None,
               **options) -> None:
     """Add the flag of config field ``key``, or ``flag`` in its place."""
-    f = _FIELDS[key]
+    f = CONFIG_FIELDS[key]
     if f.convert in _FLAG_TYPES:
         options["type"] = _FLAG_TYPES[f.convert]
     elif f.convert is json_bool:
@@ -132,7 +131,7 @@ def _experiment_config(args) -> ExperimentConfig:
     """Flags over the --config file over the dataclass defaults."""
     obj = read_config_json(args.config) if getattr(args, "config", None) else {}
     flags = {}
-    for f in CONFIG_FIELDS:
+    for f in CONFIG_FIELDS.values():
         value = getattr(args, _dest(f), None)
         if value is not None:
             if f.options.get("action") == "append":  # drop_features, a top-level key
@@ -174,3 +173,7 @@ def _cmd_detect(args) -> int:
     else:
         print(text)
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

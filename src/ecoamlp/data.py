@@ -140,14 +140,14 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    train_fraction: float = 0.70
-    validation_fraction: float = 0.15
-    test_fraction: float = 0.15
+    train: float = 0.70
+    validation: float = 0.15
+    test: float = 0.15
     seed: int = 0
     stratified: bool = False
 
     def __post_init__(self):
-        fracs = (self.train_fraction, self.validation_fraction, self.test_fraction)
+        fracs = (self.train, self.validation, self.test)
         if not all(0.0 < f < 1.0 for f in fracs):
             raise ConfigError("split fractions must each lie in (0, 1)")
         if abs(sum(fracs) - 1.0) > 1e-9:
@@ -194,8 +194,8 @@ def split(dataset: Dataset, spec: SplitSpec) -> DataSplit:
     n = len(dataset)
     if n < 3:
         raise DataError("dataset must have at least 3 instances to split")
-    n_val = round_half_up(spec.validation_fraction * n)
-    n_test = round_half_up(spec.test_fraction * n)
+    n_val = round_half_up(spec.validation * n)
+    n_test = round_half_up(spec.test * n)
     n_train = n - n_val - n_test
     if min(n_train, n_val, n_test) < 1:
         raise ConfigError(

@@ -14,13 +14,16 @@ run stays reproducible. A sweep's variants
 differ only after the split, so it splits each repeat once and runs every
 variant on the same parts.
 
-``CONFIG_FIELDS`` is the only description of the config's shape: its JSON
-form, its validation and the CLI's flags all derive from that table, and
-defaults live only in the section dataclasses. The JSON holds each value as
+The section dataclasses are the config's shape: each field's name is its
+JSON key, a field whose default is a dataclass is a subsection, and the
+defaults live there alone. ``CONFIG_FIELDS`` gives each setting, by its
+dotted key, its JSON type and its CLI flag. The JSON holds each value as
 given: an unset ``preprocessor.fraction`` is ``null``, never its default.
 
-Reports serialise to JSON (stable key order; the timestamp is the only
-field that varies between identical runs) and to an aligned text table.
+:func:`json_obj` writes the config and the per-repeat records as their
+dataclass fields, in order. Reports serialise to JSON (stable key order; the
+timestamp is the only field that varies between identical runs) and to an
+aligned text table.
 The per-score aggregates and every score column and line of the text come
 from ``metrics.SCORES``, in its order.
 ``run_experiment`` and ``run_sweep`` only return reports; the CLI writes
@@ -32,6 +35,7 @@ partial report.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
 import os
 import statistics
@@ -42,7 +46,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .automlp import AutoMlpParams, AutoMlpRun, fit_automlp
+from .automlp import AutoMlpParams, AutoMlpRun, MemberRecord, fit_automlp
 from .baselines import (
     PREPROCESSOR_KINDS,
     Preprocessor,
@@ -54,7 +58,6 @@ from .baselines import (
     ztransform_fit,
 )
 from .class_outlier import (
-    OutlierParams,
     OutlierReport,
     ecodb_detect,
     remove_outliers,
@@ -91,8 +94,8 @@ class ClassifierConfig:
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    data_path: Optional[str] = None
-    schema_name: str = "infer"
+    data: Optional[str] = None
+    schema: str = "infer"
     drop_features: Tuple[str, ...] = ()
     split: SplitSpec = dataclasses.field(default_factory=SplitSpec)
     preprocessor: Preprocessor = dataclasses.field(default_factory=Preprocessor)
@@ -102,9 +105,9 @@ class ExperimentConfig:
     evaluate_on_train: bool = False
 
     def __post_init__(self) -> None:
-        if self.schema_name not in SCHEMA_NAMES:
+        if self.schema not in SCHEMA_NAMES:
             raise ConfigError(
-                f"unknown schema {self.schema_name!r} (choose from: {', '.join(SCHEMA_NAMES)})"
+                f"unknown schema {self.schema!r} (choose from: {', '.join(SCHEMA_NAMES)})"
             )
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
@@ -145,16 +148,15 @@ def _measure(value) -> Measure:
 
 
 class ConfigField(NamedTuple):
-    """One experiment setting: its JSON key, dataclass attribute and CLI flag.
+    """One experiment setting: its dotted JSON key and its CLI flag.
 
-    ``convert`` turns a JSON (or flag) value into the attribute's value and
+    ``convert`` turns a JSON (or flag) value into the field's value and
     refuses, never casts, a value of another JSON type. :func:`json_int` and
     :func:`json_float` also type the flag and :func:`json_bool` makes it a
     switch. ``options`` are extra argparse options.
     """
 
     key: str
-    attr: str
     flag: str
     convert: Callable
     options: dict = {}
@@ -167,121 +169,96 @@ class ConfigField(NamedTuple):
             raise ConfigError(f"{self.key}: {exc}") from None
 
 
-CONFIG_SECTIONS = {
-    "": ExperimentConfig,
-    "split": SplitSpec,
-    "preprocessor": Preprocessor,
-    "preprocessor.outlier": OutlierParams,
-    "classifier": ClassifierConfig,
-    "classifier.automlp": AutoMlpParams,
-}
-"""Dataclass of each JSON section, parents first. A section's last key
-component is also its attribute name in the parent dataclass."""
-
 _MEASURES = {"choices": [m.value for m in Measure]}
 _RANGE = {"nargs": 2, "metavar": ("LO", "HI")}
 
-CONFIG_FIELDS = (
-    ConfigField("data", "data_path", "--data", optional_str, {"metavar": "FILE"}),
-    ConfigField("schema", "schema_name", "--schema", json_str, {"choices": SCHEMA_NAMES}),
-    ConfigField("drop_features", "drop_features", "--drop-feature", json_list(json_str),
+CONFIG_FIELDS = {f.key: f for f in (
+    ConfigField("data", "--data", optional_str, {"metavar": "FILE"}),
+    ConfigField("schema", "--schema", json_str, {"choices": SCHEMA_NAMES}),
+    ConfigField("drop_features", "--drop-feature", json_list(json_str),
                 {"action": "append", "metavar": "NAME",
                  "help": "drop a feature column by name (repeatable)"}),
-    ConfigField("split.train", "train_fraction", "--train-fraction", json_float),
-    ConfigField("split.validation", "validation_fraction", "--validation-fraction", json_float),
-    ConfigField("split.test", "test_fraction", "--test-fraction", json_float),
-    ConfigField("split.seed", "seed", "--split-seed", json_int),
-    ConfigField("split.stratified", "stratified", "--stratified", json_bool),
-    ConfigField("preprocessor.kind", "kind", "--preprocessor", json_str,
-                {"choices": PREPROCESSOR_KINDS}),
-    ConfigField("preprocessor.fraction", "fraction", "--fraction", optional_float,
+    ConfigField("split.train", "--train-fraction", json_float),
+    ConfigField("split.validation", "--validation-fraction", json_float),
+    ConfigField("split.test", "--test-fraction", json_float),
+    ConfigField("split.seed", "--split-seed", json_int),
+    ConfigField("split.stratified", "--stratified", json_bool),
+    ConfigField("preprocessor.kind", "--preprocessor", json_str, {"choices": PREPROCESSOR_KINDS}),
+    ConfigField("preprocessor.fraction", "--fraction", optional_float,
                 {"type": float, "help": "sampling fraction for bootstrap/stratified"}),
-    ConfigField("preprocessor.seed", "seed", "--preprocessor-seed", json_int),
-    ConfigField("preprocessor.outlier.k", "k", "--outlier-k", json_int),
-    ConfigField("preprocessor.outlier.n_outliers", "n_outliers", "--n-outliers", json_int),
-    ConfigField("preprocessor.outlier.measure", "measure", "--outlier-measure",
-                _measure, _MEASURES),
-    ConfigField("preprocessor.outlier.alpha", "alpha", "--alpha", json_float),
-    ConfigField("preprocessor.outlier.beta", "beta", "--beta", json_float),
-    ConfigField("classifier.kind", "kind", "--classifier", json_str,
-                {"choices": CLASSIFIER_KINDS}),
-    ConfigField("classifier.automlp.ensemble_size", "ensemble_size", "--ensemble-size",
-                json_int),
-    ConfigField("classifier.automlp.cycles_per_generation", "cycles_per_generation",
-                "--cycles", json_int, {"help": "training cycles per generation"}),
-    ConfigField("classifier.automlp.generations", "generations", "--generations", json_int),
-    ConfigField("classifier.automlp.hidden_range", "hidden_range", "--hidden-range",
+    ConfigField("preprocessor.seed", "--preprocessor-seed", json_int),
+    ConfigField("preprocessor.outlier.k", "--outlier-k", json_int),
+    ConfigField("preprocessor.outlier.n_outliers", "--n-outliers", json_int),
+    ConfigField("preprocessor.outlier.measure", "--outlier-measure", _measure, _MEASURES),
+    ConfigField("preprocessor.outlier.alpha", "--alpha", json_float),
+    ConfigField("preprocessor.outlier.beta", "--beta", json_float),
+    ConfigField("classifier.kind", "--classifier", json_str, {"choices": CLASSIFIER_KINDS}),
+    ConfigField("classifier.automlp.ensemble_size", "--ensemble-size", json_int),
+    ConfigField("classifier.automlp.cycles_per_generation", "--cycles", json_int,
+                {"help": "training cycles per generation"}),
+    ConfigField("classifier.automlp.generations", "--generations", json_int),
+    ConfigField("classifier.automlp.hidden_range", "--hidden-range",
                 json_list(json_int, 2), {"type": int, **_RANGE}),
-    ConfigField("classifier.automlp.lr_range", "lr_range", "--lr-range",
+    ConfigField("classifier.automlp.lr_range", "--lr-range",
                 json_list(json_float, 2), {"type": float, **_RANGE}),
-    ConfigField("classifier.automlp.seed", "seed", "--automlp-seed", json_int),
-    ConfigField("classifier.automlp.warm_start", "warm_start", "--warm-start", json_bool,
+    ConfigField("classifier.automlp.seed", "--automlp-seed", json_int),
+    ConfigField("classifier.automlp.warm_start", "--warm-start", json_bool,
                 {"help": "offspring with unchanged width inherit parent weights"}),
-    ConfigField("classifier.knn_k", "knn_k", "--knn-k", json_int),
-    ConfigField("classifier.knn_measure", "knn_measure", "--knn-measure", _measure, _MEASURES),
-    ConfigField("repeats", "repeats", "--repeats", json_int),
-    ConfigField("output_dir", "output_dir", "--output", optional_str,
+    ConfigField("classifier.knn_k", "--knn-k", json_int),
+    ConfigField("classifier.knn_measure", "--knn-measure", _measure, _MEASURES),
+    ConfigField("repeats", "--repeats", json_int),
+    ConfigField("output_dir", "--output", optional_str,
                 {"metavar": "DIR", "help": "write report.json/report.txt here"}),
-    ConfigField("evaluate_on_train", "evaluate_on_train", "--evaluate-on-train", json_bool,
+    ConfigField("evaluate_on_train", "--evaluate-on-train", json_bool,
                 {"help": "score the training set instead of the test set"}),
-)
-"""The experiment config's only field list, in JSON key order."""
-
-_FIELD_KEYS = tuple(f.key for f in CONFIG_FIELDS)
-
-
-def config_to_json_obj(config: ExperimentConfig) -> dict:
-    obj: dict = {}
-    for f in CONFIG_FIELDS:
-        *path, name = f.key.split(".")
-        section, source = obj, config
-        for part in path:
-            section = section.setdefault(part, {})
-            source = getattr(source, part)
-        value = getattr(source, f.attr)
-        if isinstance(value, Measure):
-            value = value.value
-        section[name] = list(value) if isinstance(value, tuple) else value
-    return obj
+)}
+"""Each setting of the config by its dotted key, in the order of the flags."""
 
 
 def config_from_json_obj(obj: dict, flags: Optional[Dict[str, object]] = None) -> ExperimentConfig:
     """Validate a JSON config; defaults come from the section dataclasses.
 
     ``flags`` maps dotted keys to values that replace the JSON's, as the
-    CLI's flags replace its config file's.
+    CLI's flags replace its config file's. The first error in field order,
+    depth first, is the one reported.
     """
-    flags = flags or {}
-    raw = {"": obj}
-    for section in CONFIG_SECTIONS:
-        parent, _, name = section.rpartition(".")
-        if section:
-            raw[section] = raw[parent].get(name, {})
-        if not isinstance(raw[section], dict):
-            raise ConfigError(f"{name or 'config'} section must be a JSON object")
-        known = {key.rpartition(".")[2] for key in (*_FIELD_KEYS, *CONFIG_SECTIONS)
-                 if key and key.rpartition(".")[0] == section}
-        unknown = set(raw[section]) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown {name or 'config'} option(s): {', '.join(sorted(unknown))}"
-            )
-    kwargs: Dict[str, dict] = {section: {} for section in CONFIG_SECTIONS}
-    for f in CONFIG_FIELDS:
-        section, _, name = f.key.rpartition(".")
-        if f.key in flags:
-            value = flags[f.key]
-        elif name in raw[section]:
-            value = raw[section][name]
-        else:
-            continue
-        kwargs[section][f.attr] = f.parse(value)
-    for section in reversed(CONFIG_SECTIONS):
-        parent, _, name = section.rpartition(".")
-        config = CONFIG_SECTIONS[section](**kwargs[section])
-        if section:
-            kwargs[parent][name] = config
-    return config
+    return _section(ExperimentConfig, obj, "", flags or {})
+
+
+def _section(cls: type, obj, key: str, flags: Dict[str, object]):
+    """The ``cls`` section at dotted ``key``: a field whose default is a
+    dataclass is a subsection, and any other field a setting."""
+    name = key.rpartition(".")[2] or "config"
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name} section must be a JSON object")
+    fields = dataclasses.fields(cls)
+    unknown = set(obj) - {f.name for f in fields}
+    if unknown:
+        raise ConfigError(f"unknown {name} option(s): {', '.join(sorted(unknown))}")
+    kwargs = {}
+    for f in fields:
+        field_key = f"{key}.{f.name}" if key else f.name
+        if dataclasses.is_dataclass(f.default_factory):
+            kwargs[f.name] = _section(f.default_factory, obj.get(f.name, {}), field_key, flags)
+        elif field_key in flags:
+            kwargs[f.name] = CONFIG_FIELDS[field_key].parse(flags[field_key])
+        elif f.name in obj:
+            kwargs[f.name] = CONFIG_FIELDS[field_key].parse(obj[f.name])
+    return cls(**kwargs)
+
+
+def json_obj(value):
+    """``value`` as JSON: a dataclass as its fields in order, through its own
+    ``to_json_obj`` where it has one, an enum as its value, a tuple as a list."""
+    if hasattr(value, "to_json_obj"):
+        return value.to_json_obj()
+    if dataclasses.is_dataclass(value):
+        return {f.name: json_obj(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [json_obj(item) for item in value]
+    return value
 
 
 def read_config_json(path) -> dict:
@@ -379,7 +356,7 @@ def evaluate_raw(fitted: FittedClassifier, prepared: PreparedTraining,
 
 @dataclasses.dataclass(frozen=True)
 class RepeatResult:
-    repeat_index: int
+    repeat: int
     split_seed: int
     n_train: int
     n_validation: int
@@ -387,26 +364,13 @@ class RepeatResult:
     validation: EvalReport
     test: EvalReport
     outliers: Optional[OutlierReport] = None
-    automlp_history: Optional[list] = None
+    automlp_history: Optional[Tuple[Tuple[MemberRecord, ...], ...]] = None
     winner: Optional[dict] = None
 
     def to_json_obj(self) -> dict:
-        obj = {
-            "repeat": self.repeat_index,
-            "split_seed": self.split_seed,
-            "n_train": self.n_train,
-            "n_validation": self.n_validation,
-            "n_test": self.n_test,
-            "validation": self.validation.to_json_obj(),
-            "test": self.test.to_json_obj(),
-        }
-        if self.outliers is not None:
-            obj["outliers"] = self.outliers.to_json_obj()
-        if self.automlp_history is not None:
-            obj["automlp_history"] = self.automlp_history
-        if self.winner is not None:
-            obj["winner"] = self.winner
-        return obj
+        """The fields, leaving out the stage details that are None."""
+        return {f.name: json_obj(getattr(self, f.name)) for f in dataclasses.fields(self)
+                if getattr(self, f.name) is not None}
 
 
 def aggregate_reports(reports: Sequence[EvalReport]) -> Dict[str, Dict[str, float]]:
@@ -433,8 +397,8 @@ class RunReport:
 
     def to_json_obj(self, include_timestamp: bool = True) -> dict:
         obj = {
-            "config": config_to_json_obj(self.config),
-            "repeats": [r.to_json_obj() for r in self.repeats],
+            "config": json_obj(self.config),
+            "repeats": json_obj(self.repeats),
             "aggregates": self.aggregates,
         }
         if include_timestamp:
@@ -444,12 +408,12 @@ class RunReport:
     def to_text(self) -> str:
         rows = []
         for r in self.repeats:
-            rows.append((f"repeat {r.repeat_index} validation", r.validation))
-            rows.append((f"repeat {r.repeat_index} test", r.test))
+            rows.append((f"repeat {r.repeat} validation", r.validation))
+            rows.append((f"repeat {r.repeat} test", r.test))
         agg = self.aggregates["test"]
         lines = [
             f"run of {self.config.classifier.kind} with preprocessor "
-            f"{self.config.preprocessor.kind} on {self.config.data_path or '<in-memory>'}",
+            f"{self.config.preprocessor.kind} on {self.config.data or '<in-memory>'}",
             f"created {self.created_at}",
             "",
             format_table(rows),
@@ -497,9 +461,9 @@ def run_repeat(parts: DataSplit, config: ExperimentConfig, repeat_index: int) ->
             "learning_rate": run.winner.config.learning_rate,
             "validation_error": run.winner_validation_error,
         }
-        history = run.history_json_obj()
+        history = run.history
     return RepeatResult(
-        repeat_index=repeat_index,
+        repeat=repeat_index,
         split_seed=seeded.split.seed,
         n_train=len(prepared.train),
         n_validation=len(prepared.validation),
@@ -513,9 +477,9 @@ def run_repeat(parts: DataSplit, config: ExperimentConfig, repeat_index: int) ->
 
 
 def load_dataset(config: ExperimentConfig) -> Dataset:
-    if not config.data_path:
-        raise ConfigError("no dataset configured: set data_path (--data)")
-    dataset = load_csv(config.data_path, pidd_schema() if config.schema_name == "pidd" else None)
+    if not config.data:
+        raise ConfigError("no dataset configured: set data (--data)")
+    dataset = load_csv(config.data, pidd_schema() if config.schema == "pidd" else None)
     if config.drop_features:
         dataset = dataset.drop_features(config.drop_features)
     return dataset
@@ -525,7 +489,7 @@ def run_experiment(config: ExperimentConfig, dataset: Optional[Dataset] = None) 
     """Run all repeats and return the report.
 
     An injected ``dataset`` is used as-is; ``drop_features`` is applied
-    only when loading from ``data_path``.
+    only when loading from ``data``.
     """
     if dataset is None:
         dataset = load_dataset(config)
@@ -657,6 +621,8 @@ def _write_report(report, out_dir, stem: str) -> Tuple[Path, Path]:
 def write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to a temp file beside ``path`` and rename it over
     ``path``, with the mode a plain ``open`` would have given it."""
+    if path.is_dir():
+        raise ConfigError(f"{path}: cannot write: Is a directory")
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     except OSError as exc:

@@ -6,8 +6,9 @@ average the two classes with equal weight. Any 0/0 ratio is defined as 0
 and the affected metric names are flagged in the report so downstream
 tables can mark them.
 
-``SCORES`` is the one list of reported scores: the report JSON, the text
-tables and the harness's aggregates take their scores from it, in order.
+``SCORES`` names the ``EvalReport`` score fields, in their order, with
+their column headers: the text tables and the harness's aggregates take
+their scores from it, and the report JSON writes the fields themselves.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class ConfusionMatrix:
 
 @dataclasses.dataclass(frozen=True)
 class EvalReport:
-    matrix: ConfusionMatrix
+    confusion: ConfusionMatrix
     accuracy: float
     precision_pos: float
     recall_pos: float
@@ -60,13 +61,6 @@ class EvalReport:
     weighted_mean_precision: float
     weighted_mean_recall: float
     undefined: Tuple[str, ...] = ()
-
-    def to_json_obj(self) -> dict:
-        return {
-            "confusion": dataclasses.asdict(self.matrix),
-            **{name: getattr(self, name) for name in SCORES},
-            "undefined": list(self.undefined),
-        }
 
 
 def confusion(predictions: Sequence[int], truths: Sequence[int]) -> ConfusionMatrix:
@@ -106,7 +100,7 @@ def report(matrix: ConfusionMatrix) -> EvalReport:
     precision_neg = ratio("precision_neg", matrix.tn, matrix.tn + matrix.fn)
     recall_neg = ratio("recall_neg", matrix.tn, matrix.tn + matrix.fp)
     return EvalReport(
-        matrix=matrix,
+        confusion=matrix,
         accuracy=(matrix.tp + matrix.tn) / matrix.total,
         precision_pos=precision_pos,
         recall_pos=recall_pos,

@@ -8,6 +8,7 @@ the tests that need it skip with instructions when it is absent.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import sys
 from pathlib import Path
@@ -18,7 +19,18 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from ecoamlp.data import load_csv, pidd_schema  # noqa: E402
 
-DEFAULT_PIDD = Path(__file__).resolve().parent.parent / "data" / "pima_indians_diabetes.csv"
+ROOT = Path(__file__).resolve().parent.parent
+DEFAULT_PIDD = ROOT / "data" / "pima_indians_diabetes.csv"
+
+
+def load_module(relative: str):
+    """The module of the repository file ``relative`` (such as
+    ``perfbench/pidd_table.py``), loaded by path and named after its stem."""
+    path = ROOT / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def pidd_csv_path():

@@ -62,8 +62,8 @@ def split(dataset, spec) -> DataSplit:
     n = len(dataset)
     if n < 3:
         raise DataError("dataset must have at least 3 instances to split")
-    n_val = round_half_up(spec.validation_fraction * n)
-    n_test = round_half_up(spec.test_fraction * n)
+    n_val = round_half_up(spec.validation * n)
+    n_test = round_half_up(spec.test * n)
     n_train = n - n_val - n_test
     if min(n_train, n_val, n_test) < 1:
         raise ConfigError(f"split of {n} instances yields empty subset")

@@ -44,9 +44,9 @@ from ecoamlp.mlp import MlpConfig, init_network
 from synth import numeric_schema, random_dataset, separable_dataset
 
 PIDD_CONFIG = ExperimentConfig(
-    schema_name="pidd",
-    split=SplitSpec(train_fraction=0.70, validation_fraction=0.15,
-                    test_fraction=0.15, seed=0),
+    schema="pidd",
+    split=SplitSpec(train=0.70, validation=0.15,
+                    test=0.15, seed=0),
     preprocessor=Preprocessor(
         kind="ecodb",
         outlier=OutlierParams(k=12, n_outliers=10, measure=Measure.CORRELATION),

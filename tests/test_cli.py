@@ -6,13 +6,16 @@ import dataclasses
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import ecoamlp.cli
 import ecoamlp.harness as harness
 from ecoamlp.cli import main
-from ecoamlp.harness import config_from_json_obj, config_to_json_obj, ExperimentConfig
+from ecoamlp.harness import config_from_json_obj, json_obj, ExperimentConfig
 
 from synth import random_dataset, write_csv
 
@@ -67,7 +70,7 @@ class TestRun:
 
     def test_flags_override_config_file(self, data_csv, capsys, tmp_path):
         config_path = tmp_path / "config.json"
-        obj = config_to_json_obj(ExperimentConfig(data_path=data_csv))
+        obj = json_obj(ExperimentConfig(data=data_csv))
         config_path.write_text(json.dumps(obj))
         # the file asks for automlp; the flag forces the faster knn run
         code, out, _ = run_cli(capsys, "run", "--config", str(config_path),
@@ -139,7 +142,7 @@ class TestReportFilesWrittenOnce:
         assert code == 0
         assert written == ["sweep.json", "sweep.txt"]
         obj = json.loads((out_dir / "sweep.json").read_text())
-        config = ExperimentConfig(data_path=data_csv,
+        config = ExperimentConfig(data=data_csv,
                                   classifier=harness.ClassifierConfig(kind="knn"))
         report = harness.run_sweep(config, "classifier", ["knn", "nb"])
         report = dataclasses.replace(report, created_at=obj["created_at"])
@@ -230,6 +233,22 @@ class TestExitCodes:
         assert err.startswith(f"error: {path}: cannot make the output directory: ")
         assert path.read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "taken"]
+
+    @pytest.mark.parametrize("argv,name", [
+        (["run", "--classifier", "knn", "--output", "out"], "report.json"),
+        (["sweep", "--classifier", "knn", "--variants", "none", "--output", "out"],
+         "sweep.json"),
+        (["detect-outliers", "--k", "5", "--output", "out/outliers.json"], "outliers.json"),
+    ], ids=["run", "sweep", "detect-outliers"])
+    def test_output_file_that_is_a_directory_is_config_error(self, data_csv, capsys,
+                                                             tmp_path, monkeypatch, argv, name):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "out" / name
+        path.mkdir(parents=True)
+        code, _, err = run_cli(capsys, *argv, "--data", data_csv)
+        assert code == 1
+        assert err == f"error: out/{name}: cannot write: Is a directory\n"
+        assert path.is_dir() and not list(path.parent.glob("*.tmp"))
 
     def test_invalid_repeats(self, data_csv, capsys):
         code, _, _ = run_cli(capsys, "run", "--data", data_csv,
@@ -345,6 +364,21 @@ class TestExitCodes:
         assert err.startswith("internal error: RuntimeError")
 
 
+def test_python_dash_m_runs_the_cli(data_csv):
+    def module(*argv):
+        src = str(Path(ecoamlp.cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        return subprocess.run([sys.executable, "-m", "ecoamlp.cli", *argv, "--data", data_csv],
+                              capture_output=True, text=True, env=env)
+
+    done = module("detect-outliers", "--k", "5", "--n-outliers", "2")
+    assert done.returncode == 0
+    assert len(json.loads(done.stdout)["outliers"]) == 2
+    done = module("run", "--repeats", "0")
+    assert done.returncode == 1
+    assert done.stderr == "error: repeats must be >= 1, got 0\n"
+
+
 class TestSweep:
     def test_classifier_axis(self, data_csv, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--data", data_csv,
@@ -377,7 +411,7 @@ class TestSweep:
 
     def test_dumped_config_sweeps_as_flags_do(self, data_csv, capsys, tmp_path):
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config_to_json_obj(ExperimentConfig(data_path=data_csv))))
+        config_path.write_text(json.dumps(json_obj(ExperimentConfig(data=data_csv))))
         reports = []
         for source in (["--config", str(config_path)], ["--data", data_csv]):
             out_dir = tmp_path / source[0][2:]

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import re
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -25,7 +28,7 @@ from ecoamlp.harness import (
     ClassifierConfig,
     ExperimentConfig,
     config_from_json_obj,
-    config_to_json_obj,
+    json_obj,
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -61,8 +64,8 @@ def automlp_params(draw):
 
 configs = st.builds(
     ExperimentConfig,
-    data_path=st.sampled_from([None, "data.csv", "dir/pima.csv"]),
-    schema_name=st.sampled_from(SCHEMA_NAMES),
+    data=st.sampled_from([None, "data.csv", "dir/pima.csv"]),
+    schema=st.sampled_from(SCHEMA_NAMES),
     drop_features=st.lists(st.sampled_from(["f0", "f1", "skin", "bmi"]), unique=True,
                            max_size=3).map(tuple),
     split=splits(),
@@ -96,7 +99,7 @@ def json_value(obj: dict, key: str):
 def argv_for(obj: dict) -> list:
     """The run flags that set every field of a JSON config."""
     argv = []
-    for f in CONFIG_FIELDS:
+    for f in CONFIG_FIELDS.values():
         value = json_value(obj, f.key)
         if value is None or value is False:
             continue
@@ -112,19 +115,35 @@ def argv_for(obj: dict) -> list:
     return argv
 
 
+def leaf_keys(cls=ExperimentConfig, prefix=""):
+    """The dotted key of each setting of the config dataclasses, in field order."""
+    keys = []
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.default_factory):
+            keys += leaf_keys(f.default_factory, f"{prefix}{f.name}.")
+        else:
+            keys.append(prefix + f.name)
+    return keys
+
+
+def test_each_setting_has_one_config_field():
+    # the flags follow CONFIG_FIELDS and the JSON follows the fields, in one order
+    assert leaf_keys() == list(CONFIG_FIELDS)
+
+
 @PROPERTY_SETTINGS
 @given(configs)
 def test_json_round_trip(config):
-    obj = json.loads(json.dumps(config_to_json_obj(config)))
+    obj = json.loads(json.dumps(json_obj(config)))
     loaded = config_from_json_obj(obj)
-    assert config_to_json_obj(loaded) == obj
+    assert json_obj(loaded) == obj
     assert loaded == config
 
 
 def test_fraction_null_is_unset():
     obj = {"preprocessor": {"kind": "stratified", "fraction": None}}
     assert config_from_json_obj(obj).preprocessor.fraction is None
-    assert config_to_json_obj(config_from_json_obj(obj))["preprocessor"]["fraction"] is None
+    assert json_obj(config_from_json_obj(obj))["preprocessor"]["fraction"] is None
 
 
 @pytest.mark.parametrize("value", ["0.9", True])
@@ -136,7 +155,7 @@ def test_fraction_must_be_a_number(value):
 @PROPERTY_SETTINGS
 @given(configs)
 def test_flags_parse_to_the_json_config(config):
-    obj = config_to_json_obj(config)
+    obj = json_obj(config)
     expected = config_from_json_obj(obj)
     parser = cli._build_parser()
     assert cli._experiment_config(parser.parse_args(["run", *argv_for(obj)])) == expected
@@ -152,4 +171,18 @@ def test_readme_default_config_block():
     text = README.read_text()
     block = re.search(r"The default config serializes as:\s*```json\n(.*?)```", text, re.S)
     assert block, "README lost its default-config block"
-    assert json.loads(block.group(1)) == config_to_json_obj(ExperimentConfig())
+    assert json.loads(block.group(1)) == json_obj(ExperimentConfig())
+
+
+def test_readme_cli_examples_parse():
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```sh\n(.*?)```", section, re.S)
+    assert len(blocks) >= 3, "README lost its CLI examples"
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for sub in commands.choices.values():
+        sub.allow_abbrev = False  # a renamed flag must not pass as an abbreviation
+    for block in blocks:
+        program, *argv = shlex.split(block.replace("\\\n", " "))
+        assert program == "ecoamlp"
+        parser.parse_args(argv)

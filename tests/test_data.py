@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib.util
 import tempfile
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from ecoamlp.data import (
 )
 from ecoamlp.errors import ConfigError, DataError
 
+from conftest import load_module
 from synth import numeric_schema, random_dataset, write_csv
 
 
@@ -364,15 +364,7 @@ class TestLoadCsv:
             load_csv(path, schema)
 
 
-def _load_pidd_table():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "pidd_table.py"
-    spec = importlib.util.spec_from_file_location("pidd_table", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-pidd_table = _load_pidd_table()
+pidd_table = load_module("perfbench/pidd_table.py")
 
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
                1e308, -1e308, 1.7976931348623157e308)

@@ -3,32 +3,22 @@ when ``load_csv`` with the PIDD schema reads it as the expected one."""
 
 from __future__ import annotations
 
-import importlib.util
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ecoamlp.data import load_csv, pidd_schema
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import load_module
 
-
-def _load(name: str, path: Path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-pidd_table = _load("pidd_table", ROOT / "perfbench" / "pidd_table.py")
+pidd_table = load_module("perfbench/pidd_table.py")
 
 
 @pytest.fixture()
 def fetch_pidd(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
-    return _load("fetch_pidd", ROOT / "scripts" / "fetch_pidd.py")
+    return load_module("scripts/fetch_pidd.py")
 
 
 @pytest.fixture()

@@ -10,9 +10,7 @@ digests, never silently re-record them.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +20,10 @@ from ecoamlp.baselines import Preprocessor
 from ecoamlp.class_outlier import OutlierParams, codb_detect, ecodb_detect
 from ecoamlp.data import SplitSpec, split
 from ecoamlp.distance import Measure, cross_distances, pairwise_distances
-from ecoamlp.harness import ClassifierConfig, ExperimentConfig, run_experiment, run_sweep
+from ecoamlp.harness import (ClassifierConfig, ExperimentConfig, json_obj, run_experiment,
+                             run_sweep)
 
+from conftest import load_module
 from synth import random_dataset
 
 
@@ -62,7 +62,7 @@ def test_automlp_winner_and_history(seed):
                            hidden_range=(2, 16), lr_range=(0.01, 1.0), seed=seed)
     run = fit_automlp(train, validation, params)
     got = (_array_digest(run.winner.w_ih, run.winner.w_ho),
-           _json_digest({"slot": run.winner_slot, "history": run.history_json_obj()}))
+           _json_digest({"slot": run.winner_slot, "history": json_obj(run.history)}))
     assert got == AUTOMLP_GOLDEN[seed]
 
 
@@ -122,11 +122,7 @@ PIDD_MATRIX_GOLDEN = "8ac55a8210852e6034ee5784b3a1e313f2f2ebf23e249d3df827ba3abd
 
 
 def test_correlation_matrix_on_pidd_shaped_rows():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "pidd_table.py"
-    spec = importlib.util.spec_from_file_location("pidd_table", path)
-    pidd_table = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(pidd_table)
-    features, _ = pidd_table.generate(768, 0)
+    features, _ = load_module("perfbench/pidd_table.py").generate(768, 0)
     D = pairwise_distances(features[:538], Measure.CORRELATION)
     assert _array_digest(D) == PIDD_MATRIX_GOLDEN
 
@@ -142,8 +138,8 @@ SPLIT_GOLDEN = {
 @pytest.mark.parametrize("seed,stratified", sorted(SPLIT_GOLDEN))
 def test_split_ids(seed, stratified):
     ds = random_dataset(101, 2, seed=6, positive_fraction=0.3)
-    parts = split(ds, SplitSpec(train_fraction=0.6, validation_fraction=0.25,
-                                test_fraction=0.15, seed=seed, stratified=stratified))
+    parts = split(ds, SplitSpec(train=0.6, validation=0.25,
+                                test=0.15, seed=seed, stratified=stratified))
     ids = [part.ids.tolist() for part in (parts.train, parts.validation, parts.test)]
     assert _json_digest(ids) == SPLIT_GOLDEN[(seed, stratified)]
 

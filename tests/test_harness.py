@@ -21,10 +21,10 @@ from ecoamlp.harness import (
     PreparedTraining,
     aggregate_reports,
     config_from_json_obj,
-    config_to_json_obj,
     evaluate_prepared,
     evaluate_raw,
     fit_classifier,
+    json_obj,
     load_dataset,
     prepare_training_data,
     read_config_json,
@@ -79,11 +79,11 @@ def parts(dataset):
 class TestConfig:
     def test_json_round_trip_is_a_fixpoint(self):
         config = ExperimentConfig(
-            data_path="somewhere.csv",
-            schema_name="pidd",
+            data="somewhere.csv",
+            schema="pidd",
             drop_features=("skin",),
-            split=SplitSpec(train_fraction=0.6, validation_fraction=0.2,
-                            test_fraction=0.2, seed=9, stratified=True),
+            split=SplitSpec(train=0.6, validation=0.2,
+                            test=0.2, seed=9, stratified=True),
             preprocessor=Preprocessor(kind="ecodb", fraction=0.8, seed=4,
                                       outlier=OutlierParams(k=7, n_outliers=3)),
             classifier=ClassifierConfig(kind="automlp", automlp=TINY_AUTOMLP,
@@ -92,13 +92,13 @@ class TestConfig:
             output_dir="out",
             evaluate_on_train=True,
         )
-        obj = config_to_json_obj(config)
-        assert config_to_json_obj(config_from_json_obj(obj)) == obj
+        obj = json_obj(config)
+        assert json_obj(config_from_json_obj(obj)) == obj
         assert config_from_json_obj(obj) == config
 
     def test_defaults_fill_missing_sections(self):
         config = config_from_json_obj({})
-        assert config.split.train_fraction == 0.7
+        assert config.split.train == 0.7
         assert config.preprocessor.kind == "none"
         assert config.classifier.kind == "automlp"
         assert config.repeats == 1
@@ -175,7 +175,7 @@ class TestConfig:
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "config.json"
         config = knn_config()
-        path.write_text(json.dumps(config_to_json_obj(config)))
+        path.write_text(json.dumps(json_obj(config)))
         assert config_from_json_obj(read_config_json(path)) == config
 
 
@@ -292,7 +292,7 @@ class TestRunRepeat:
         seeded = repeat_config(config, 2)
         prepared = prepare_training_data(parts.train, parts.validation, seeded.preprocessor)
         fitted = fit_classifier(prepared, seeded.classifier)
-        assert result.automlp_history == fitted.automlp_run.history_json_obj()
+        assert result.automlp_history == fitted.automlp_run.history
         assert result.validation == evaluate_prepared(fitted, prepared.validation)
 
     def test_split_seed_offsets_by_repeat(self, dataset):
@@ -378,7 +378,7 @@ class TestRunExperiment:
         config = knn_config(repeats=3)
         rep = run_experiment(config, dataset=dataset)
         assert [r.split_seed for r in rep.repeats] == [3, 4, 5]
-        assert [r.repeat_index for r in rep.repeats] == [0, 1, 2]
+        assert [r.repeat for r in rep.repeats] == [0, 1, 2]
 
     def test_automlp_seed_offset_changes_search(self, dataset):
         config = knn_config(
@@ -405,14 +405,14 @@ class TestRunExperiment:
         assert not list(out.glob("*.tmp"))
 
     def test_missing_data_path_rejected(self):
-        with pytest.raises(ConfigError, match="data_path"):
+        with pytest.raises(ConfigError, match="set data "):
             run_experiment(knn_config())
 
     def test_loads_csv_and_drops_features(self, tmp_path):
         ds = random_dataset(60, 4, seed=5)
         path = tmp_path / "data.csv"
         write_csv(path, ds)
-        config = knn_config(data_path=str(path), drop_features=("f1", "f3"))
+        config = knn_config(data=str(path), drop_features=("f1", "f3"))
         loaded = load_dataset(config)
         assert loaded.n_features == 2
         rep = run_experiment(config)

@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from ecoamlp.errors import DataError
+from ecoamlp.harness import json_obj
 from ecoamlp.metrics import (
     SCORES,
     ConfusionMatrix,
@@ -121,7 +122,7 @@ class TestReport:
             report(ConfusionMatrix(0, 0, 0, 0))
 
     def test_json_shape(self):
-        obj = report(ConfusionMatrix(5, 5, 1, 1)).to_json_obj()
+        obj = json_obj(report(ConfusionMatrix(5, 5, 1, 1)))
         assert obj["confusion"] == {"tp": 5, "tn": 5, "fp": 1, "fn": 1}
         assert obj["undefined"] == []
         assert obj["accuracy"] == pytest.approx(10 / 12)
@@ -131,7 +132,7 @@ class TestReport:
         # text tables and the aggregates alike
         scores = [f.name for f in dataclasses.fields(EvalReport) if f.type == "float"]
         assert list(SCORES) == scores
-        obj = report(ConfusionMatrix(5, 5, 1, 1)).to_json_obj()
+        obj = json_obj(report(ConfusionMatrix(5, 5, 1, 1)))
         assert list(obj) == ["confusion", *scores, "undefined"]
 
 
