@@ -331,7 +331,8 @@ class TestExitCodes:
         assert run_cli(capsys, "run", "--config", str(path)) == (1, "", f"error: {message}\n")
 
     def test_flag_value_error_message(self, capsys):
-        assert run_cli(capsys, "run", "--knn-k", "0") == (1, "", "error: knn_k must be >= 1, got 0\n")
+        assert run_cli(capsys, "run", "--knn-k", "0") == \
+            (1, "", "error: knn_k must be >= 1, got 0\n")
 
     def test_one_column_csv_is_exit_two(self, capsys, tmp_path):
         path = tmp_path / "one.csv"
@@ -366,10 +367,10 @@ class TestExitCodes:
 
 def test_python_dash_m_runs_the_cli(data_csv):
     def module(*argv):
-        src = str(Path(ecoamlp.cli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        path = [str(Path(ecoamlp.cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
         return subprocess.run([sys.executable, "-m", "ecoamlp.cli", *argv, "--data", data_csv],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=env, timeout=120)
 
     done = module("detect-outliers", "--k", "5", "--n-outliers", "2")
     assert done.returncode == 0
