@@ -85,7 +85,8 @@ def fetch(url: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0],
+                                     allow_abbrev=False)
     parser.add_argument("--url", help="download from this URL instead of the known mirrors")
     parser.add_argument("--from-file", metavar="PATH",
                         help="validate and install an already-downloaded copy")

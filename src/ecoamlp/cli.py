@@ -49,7 +49,12 @@ _FLAG_TYPES = {json_int: int, json_float: float}
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as ConfigError (exit code 1)."""
+    """argparse that reports usage problems as ConfigError (exit code 1)
+    and takes flags only in full, so a misspelt or renamed flag is an
+    error rather than the flag it abbreviates."""
+
+    def __init__(self, **options) -> None:
+        super().__init__(allow_abbrev=False, **options)
 
     def error(self, message):
         raise ConfigError(message)
@@ -104,8 +109,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _experiment_flags() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
+def _experiment_flags() -> _Parser:
+    p = _Parser(add_help=False)
     p.add_argument("--config", metavar="FILE", help="JSON config; flags override it")
     for key in CONFIG_FIELDS:
         _add_flag(p, key)

@@ -613,6 +613,8 @@ def _write_report(report, out_dir, stem: str) -> Tuple[Path, Path]:
         raise ConfigError(f"{out}: cannot make the output directory: {exc.strerror}") from None
     json_path = out / f"{stem}.json"
     text_path = out / f"{stem}.txt"
+    for path in (json_path, text_path):  # before writing either
+        _refuse_directory(path)
     write_atomic(json_path, json.dumps(report.to_json_obj(), indent=2) + "\n")
     write_atomic(text_path, report.to_text())
     return json_path, text_path
@@ -621,8 +623,7 @@ def _write_report(report, out_dir, stem: str) -> Tuple[Path, Path]:
 def write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to a temp file beside ``path`` and rename it over
     ``path``, with the mode a plain ``open`` would have given it."""
-    if path.is_dir():
-        raise ConfigError(f"{path}: cannot write: Is a directory")
+    _refuse_directory(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     except OSError as exc:
@@ -638,6 +639,11 @@ def write_atomic(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _refuse_directory(path: Path) -> None:
+    if path.is_dir():
+        raise ConfigError(f"{path}: cannot write: Is a directory")
 
 
 def _timestamp() -> str:

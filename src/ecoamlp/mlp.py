@@ -14,11 +14,15 @@ Training runs several networks in lockstep (:func:`train_epochs`): step t
 of an epoch applies, to every network at once, the t-th row of that
 network's own shuffle. The networks' hidden units are laid end to end on
 one axis (:class:`_FlatLayers`), so networks of different widths share
-arrays with no padding or masks. No step uses BLAS: a hidden unit's input
-is a numpy sum over its own row of weights, and a network's output is a
+arrays with no padding or masks. :meth:`_FlatLayers.forward` is the one
+forward pass, for training and prediction alike: a hidden unit's input is
+a numpy sum over its own row of weights, and a network's output is a
 ``reduceat`` sum over its own units. No sum crosses networks, so a
 network trained with others ends bit for bit as it would alone, and
-:func:`train_epoch` is the one-network case.
+:func:`train_epoch` is the one-network case. :func:`forward_batch` runs
+the same pass on blocks of rows, so a validation score is the training
+pass's probability to the last bit. No step uses BLAS, whose sums run in
+an order that depends on the build, so scores do not depend on it either.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset
+from .distance import block_rows
 from .errors import ConfigError
 
 PROB_CLIP = 1e-15
@@ -89,10 +94,18 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def forward_batch(network: MlpNetwork, X: np.ndarray) -> np.ndarray:
-    """P(class 1) for each row of X, clipped away from exact 0 and 1."""
+    """P(class 1) for each row of X, clipped away from exact 0 and 1: the
+    training step's forward pass, over blocks of rows whose (rows, units,
+    d+1) product stays within the budget of ``distance.block_rows``."""
     X = np.asarray(X, dtype=np.float64)
-    h = sigmoid(X @ network.w_ih[:, :-1].T + network.w_ih[:, -1])
-    p = sigmoid(h @ network.w_ho[:-1] + network.w_ho[-1])
+    _check_features(X, network)
+    Xb = np.hstack([X, np.ones((len(X), 1))])
+    layers = _FlatLayers([network])
+    step = block_rows(layers.W.size)
+    p = np.empty(len(X))
+    for start in range(0, len(X), step):
+        rows = slice(start, start + step)
+        p[rows] = layers.forward(Xb[rows, None, :])[1][:, 0]
     return np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
 
 
@@ -131,11 +144,7 @@ def train_epochs(
         raise ValueError(f"{len(networks)} networks need as many shuffle seeds, "
                          f"got {len(shuffle_seeds)}")
     for network in networks:
-        if dataset.n_features != network.config.input_dim:
-            raise ValueError(
-                f"dataset has {dataset.n_features} features, network expects "
-                f"{network.config.input_dim}"
-            )
+        _check_features(dataset.features, network)
     n = len(dataset)
     orders = np.array([np.random.default_rng(seed).permutation(n) for seed in shuffle_seeds]).T
     Xb = np.hstack([dataset.features, np.ones((n, 1))])
@@ -152,6 +161,15 @@ def train_epochs(
         layers.bias -= lr_net * delta_out
         layers.W -= lr_col * (delta_h[:, None] * x)
     layers.write_back(networks)
+
+
+def _check_features(features: np.ndarray, network: MlpNetwork) -> None:
+    """Refuse anything but rows of ``network``'s input width."""
+    if features.ndim != 2:
+        raise ValueError(f"features must be a 2-D array of rows, got shape {features.shape}")
+    if features.shape[1] != network.config.input_dim:
+        raise ValueError(f"dataset has {features.shape[1]} features, network expects "
+                         f"{network.config.input_dim}")
 
 
 class _FlatLayers:
@@ -173,6 +191,15 @@ class _FlatLayers:
         self.w_out = np.concatenate([net.w_ho[:-1] for net in networks])
         self.bias = np.array([net.w_ho[-1] for net in networks])
 
+    def forward(self, x: np.ndarray):
+        """The forward pass: activations h (..., U) and each network's
+        unclipped probability p (..., M) for ``x`` (..., U, d+1) laid out
+        as in :meth:`step`. Each sum runs over the last axis alone, so
+        leading axes hold independent instances."""
+        h = sigmoid(np.add.reduce(self.W * x, axis=-1))
+        p = sigmoid(np.add.reduceat(h * self.w_out, self.starts, axis=-1) + self.bias)
+        return h, p
+
     def step(self, x: np.ndarray, y):
         """Forward and backward pass of each network on its own instance.
 
@@ -184,8 +211,7 @@ class _FlatLayers:
         gradients are delta_out * [h, 1] for a network's output weights
         and outer(delta_h, x) for its hidden weights.
         """
-        h = sigmoid(np.add.reduce(self.W * x, axis=1))
-        p = sigmoid(np.add.reduceat(h * self.w_out, self.starts) + self.bias)
+        h, p = self.forward(x)
         delta_out = p - y
         delta_unit = delta_out.take(self.owner)
         delta_h = (delta_unit * self.w_out) * h * (1.0 - h)

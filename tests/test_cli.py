@@ -250,6 +250,32 @@ class TestExitCodes:
         assert err == f"error: out/{name}: cannot write: Is a directory\n"
         assert path.is_dir() and not list(path.parent.glob("*.tmp"))
 
+    @pytest.mark.parametrize("old", [None, b"{\"old\": 1}\n"], ids=["absent", "existing"])
+    def test_report_pair_is_written_whole_or_not_at_all(self, data_csv, capsys, tmp_path,
+                                                       monkeypatch, old):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out" / "report.txt").mkdir(parents=True)
+        json_path = tmp_path / "out" / "report.json"
+        if old is not None:
+            json_path.write_bytes(old)
+        code, _, err = run_cli(capsys, "run", "--data", data_csv, "--classifier", "knn",
+                               "--output", "out")
+        assert code == 1
+        assert err == "error: out/report.txt: cannot write: Is a directory\n"
+        if old is None:
+            assert not json_path.exists()
+        else:
+            assert json_path.read_bytes() == old
+        assert not list(json_path.parent.glob("*.tmp"))
+
+    def test_abbreviated_flag_is_config_error(self, data_csv, capsys):
+        # --n-outlier is a prefix of --n-outliers, not a flag
+        code, out, err = run_cli(capsys, "detect-outliers", "--data", data_csv,
+                                 "--n-outlier", "3")
+        assert code == 1
+        assert out == ""
+        assert err == "error: unrecognized arguments: --n-outlier 3\n"
+
     def test_invalid_repeats(self, data_csv, capsys):
         code, _, _ = run_cli(capsys, "run", "--data", data_csv,
                              "--classifier", "knn", "--repeats", "0")

