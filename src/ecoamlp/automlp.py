@@ -3,12 +3,15 @@
 The ensemble holds ``ensemble_size`` networks whose hidden width and
 learning rate are sampled log-uniformly from the configured ranges. Each
 generation every member trains for ``cycles_per_generation`` epochs and is
-scored by validation misclassification rate. The worst floor(size / 2)
-members are then replaced in place by offspring: a surviving parent is
-picked uniformly, its hidden width and learning rate are jittered
-log-normally (sigma 0.3 and 0.5 in log space), clamped back into range,
-and the child starts from fresh random weights. With ``warm_start`` a
-child whose width matches its parent copies the parent's weights instead.
+scored by validation misclassification rate. Members rank by that error,
+a tie going to the lower slot, and the worst floor(size / 2) are then
+replaced in place by offspring: a surviving parent is picked uniformly,
+its hidden width and learning rate are jittered log-normally (sigma 0.3
+and 0.5 in log space), clamped back into range, and the child starts from
+fresh random weights. With ``warm_start`` a child whose width matches its
+parent copies the parent's weights instead.
+:func:`fit_automlp` returns the finished :class:`AutoMlpPopulation`; its
+winner is the best-ranked member of the last recorded generation.
 
 Every random draw comes from a sub-seed derived from the run seed plus
 structural tags (generation, slot, cycle), so runs are reproducible and
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -88,22 +91,20 @@ class MemberRecord:
 
 @dataclasses.dataclass
 class AutoMlpPopulation:
-    """Mutable search state: the live networks plus per-generation records."""
+    """Search state: the live networks and each past generation's records."""
 
     params: AutoMlpParams
-    input_dim: int
     members: List[MlpNetwork]
-    generation: int = 0
-    history: List[Tuple[MemberRecord, ...]] = dataclasses.field(default_factory=list)
+    history: Tuple[Tuple[MemberRecord, ...], ...] = ()
 
+    @property
+    def winner_slot(self) -> int:
+        """The best-ranked slot of the last recorded generation."""
+        return _ranking([r.validation_error for r in self.history[-1]])[0]
 
-@dataclasses.dataclass(frozen=True)
-class AutoMlpRun:
-    """Finished search: the winning network and the full history."""
-
-    winner: MlpNetwork
-    winner_slot: int
-    history: Tuple[Tuple[MemberRecord, ...], ...]
+    @property
+    def winner(self) -> MlpNetwork:
+        return self.members[self.winner_slot]
 
     @property
     def winner_validation_error(self) -> float:
@@ -117,30 +118,23 @@ def init_population(params: AutoMlpParams, input_dim: int) -> AutoMlpPopulation:
     for slot in range(params.ensemble_size):
         hidden = _sample_log_uniform(hp_rng, params.hidden_range, integer=True)
         lr = _sample_log_uniform(hp_rng, params.lr_range)
-        config = MlpConfig(
-            input_dim=input_dim,
-            hidden_units=hidden,
-            learning_rate=lr,
-            weight_init_seed=subseed(params.seed, _ROLE_WEIGHTS, 0, slot),
-        )
-        members.append(init_network(config))
-    return AutoMlpPopulation(params, input_dim, members)
+        members.append(_member(params, input_dim, hidden, lr, 0, slot))
+    return AutoMlpPopulation(params, members)
 
 
 def run_generation(population: AutoMlpPopulation, train: Dataset,
                    validation: Dataset) -> AutoMlpPopulation:
     """Train, evaluate, record, and replace the losing half in place."""
     params = population.params
-    gen = population.generation
+    gen = len(population.history)
     for cycle in range(params.cycles_per_generation):
         seeds = [subseed(params.seed, _ROLE_SHUFFLE, gen, slot, cycle)
                  for slot in range(len(population.members))]
         train_epochs(population.members, train, seeds)
     errors = [evaluate_error(net, validation) for net in population.members]
-    ranking = sorted(range(params.ensemble_size), key=lambda s: (errors[s], s))
-    n_replace = params.ensemble_size // 2
-    survivors = ranking[: params.ensemble_size - n_replace]
-    losers = set(ranking[params.ensemble_size - n_replace :])
+    ranking = _ranking(errors)
+    n_keep = params.ensemble_size - params.ensemble_size // 2
+    survivors, losers = ranking[:n_keep], set(ranking[n_keep:])
     records = tuple(
         MemberRecord(
             member=slot,
@@ -153,24 +147,29 @@ def run_generation(population: AutoMlpPopulation, train: Dataset,
     )
     for slot in sorted(losers):
         population.members[slot] = _make_offspring(population, survivors, gen, slot)
-    population.history.append(records)
-    population.generation = gen + 1
+    population.history += (records,)
     return population
 
 
-def fit_automlp(train: Dataset, validation: Dataset, params: AutoMlpParams) -> AutoMlpRun:
+def fit_automlp(train: Dataset, validation: Dataset, params: AutoMlpParams) -> AutoMlpPopulation:
     if len(train) == 0 or len(validation) == 0:
         raise ConfigError("automlp needs non-empty train and validation sets")
     population = init_population(params, input_dim=train.n_features)
     for _ in range(params.generations):
         run_generation(population, train, validation)
-    last = population.history[-1]
-    winner_slot = min(range(params.ensemble_size), key=lambda s: (last[s].validation_error, s))
-    return AutoMlpRun(
-        winner=population.members[winner_slot],
-        winner_slot=winner_slot,
-        history=tuple(population.history),
-    )
+    return population
+
+
+def _ranking(errors: Sequence[float]) -> List[int]:
+    """Slots from best to worst: by validation error, a tie to the lower slot."""
+    return sorted(range(len(errors)), key=lambda s: (errors[s], s))
+
+
+def _member(params: AutoMlpParams, input_dim: int, hidden: int, lr: float,
+            generation: int, slot: int) -> MlpNetwork:
+    """A fresh network, its weights drawn from the (generation, slot) seed."""
+    seed = subseed(params.seed, _ROLE_WEIGHTS, generation, slot)
+    return init_network(MlpConfig(input_dim, hidden, lr, weight_init_seed=seed))
 
 
 def _make_offspring(
@@ -185,13 +184,7 @@ def _make_offspring(
     hidden = _jitter_log_normal(rng, parent.config.hidden_units, HIDDEN_SIGMA,
                                 params.hidden_range, integer=True)
     lr = _jitter_log_normal(rng, parent.config.learning_rate, LR_SIGMA, params.lr_range)
-    config = MlpConfig(
-        input_dim=population.input_dim,
-        hidden_units=hidden,
-        learning_rate=lr,
-        weight_init_seed=subseed(params.seed, _ROLE_WEIGHTS, gen + 1, slot),
-    )
-    child = init_network(config)
+    child = _member(params, parent.config.input_dim, hidden, lr, gen + 1, slot)
     if params.warm_start and hidden == parent.config.hidden_units:
         child.w_ih = parent.w_ih.copy()
         child.w_ho = parent.w_ho.copy()

@@ -1,9 +1,9 @@
-"""Reference preprocessors and classifiers used for comparison runs.
+"""Baseline algorithms that comparison runs set beside ECODB and AutoMLP.
 
-Preprocessing options: identity, per-feature z-transform (fit on train
-only), bootstrap resampling, stratified subsampling, and class-outlier
-removal (wired up in the harness). Classifier options besides the
-evolutionary MLP: k-nearest-neighbour voting and Gaussian naive Bayes.
+Preprocessing: per-feature z-transform (fit on train only), bootstrap
+resampling and stratified subsampling. Classification: k-nearest-neighbour
+voting and Gaussian naive Bayes. The harness configures the choice among
+them, class-outlier removal and AutoMLP included.
 
 Everything here is deterministic given its seed arguments and uses the
 same tie-breaking conventions as the rest of the package: distance ties
@@ -14,50 +14,15 @@ class 0.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
 import numpy as np
 
-from .class_outlier import OutlierParams
 from .data import Dataset, largest_remainder_allocation, round_half_up
 from .distance import Measure, cross_distances, nearest_neighbours
 from .errors import ConfigError, DataError
 
-PREPROCESSOR_KINDS = ("none", "ztransform", "bootstrap", "stratified", "ecodb")
-
 VARIANCE_FLOOR = 1e-9
 """Lower bound on per-class feature variance in naive Bayes."""
-
-
-@dataclasses.dataclass(frozen=True)
-class Preprocessor:
-    """Configuration of one train-set preprocessing step.
-
-    ``fraction`` only applies to the two samplers and defaults per sampler
-    (1.0 for bootstrap, 0.9 for stratified) when left as None. ``outlier``
-    only applies to ``ecodb``. ``seed`` feeds whichever step needs
-    randomness.
-    """
-
-    kind: str = "none"
-    fraction: Optional[float] = None
-    seed: int = 0
-    outlier: OutlierParams = dataclasses.field(default_factory=OutlierParams)
-
-    def __post_init__(self) -> None:
-        if self.kind not in PREPROCESSOR_KINDS:
-            raise ConfigError(
-                f"unknown preprocessor {self.kind!r} (choose from: {', '.join(PREPROCESSOR_KINDS)})"
-            )
-        if self.fraction is not None and not 0.0 < self.fraction <= 1.0:
-            raise ConfigError(f"fraction must be in (0, 1], got {self.fraction}")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-
-    def effective_fraction(self) -> float:
-        if self.fraction is not None:
-            return self.fraction
-        return 0.9 if self.kind == "stratified" else 1.0
 
 
 @dataclasses.dataclass(frozen=True)

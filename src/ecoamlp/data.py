@@ -239,7 +239,9 @@ def load_csv(path, schema: Optional[Schema] = None) -> Dataset:
     last (named by the header, else f0, f1, ...), and the two distinct
     values of the last column as class labels, in ascending string order.
     Raises :class:`DataError` naming the 1-based file line and the column
-    for any malformed cell. Blank cells are rejected, never imputed.
+    for any malformed cell, a blank or repeated header name among them.
+    Blank cells are rejected, never imputed. A UTF-8 byte-order mark is
+    not part of the first cell.
     """
     path = Path(path)
     rows = _read_rows(path)
@@ -250,14 +252,13 @@ def load_csv(path, schema: Optional[Schema] = None) -> Dataset:
         raise DataError(f"{path}: need at least one feature column plus a label")
     features = np.empty((len(rows), width - 1))
     numeric = [_parse_into(out, row) for out, (_, row) in zip(features, rows)]
-    names = tuple(f"f{i}" for i in range(width - 1))
+    names = schema.features if schema else tuple(f"f{i}" for i in range(width - 1))
     if _is_header(rows, numeric, width - 1):
-        names = tuple(cell.strip() for cell in rows[0][1][:-1])
+        if schema is None:
+            names = _header_names(path, *rows[0])
         rows, numeric, features = rows[1:], numeric[1:], features[1:]
     if not rows:
         raise DataError(f"{path}: empty dataset")
-    if schema:
-        names = schema.features
     cells = [row[-1].strip() for _, row in rows]
     for (lineno, row), ok, cell in zip(rows, numeric, cells):
         if len(row) != width:
@@ -281,11 +282,22 @@ def _read_rows(path: Path) -> List[Tuple[int, List[str]]]:
     if not path.exists():
         raise DataError(f"no such file: {path}")
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             return [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
                     if row and any(cell.strip() for cell in row)]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot read: {exc}") from None
+
+
+def _header_names(path: Path, lineno: int, row: List[str]) -> Tuple[str, ...]:
+    """The feature names in header ``row``; a blank or repeated one is a
+    :class:`DataError` naming its 1-based column."""
+    names = tuple(cell.strip() for cell in row[:-1])
+    for column, name in enumerate(names, start=1):
+        if not name or name in names[:column - 1]:
+            problem = f"repeated feature name {name!r}" if name else "blank feature name"
+            raise DataError(f"{path}: row {lineno}, column {column}: {problem}")
+    return names
 
 
 def _parse_into(out: np.ndarray, row: List[str]) -> bool:

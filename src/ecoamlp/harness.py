@@ -19,6 +19,8 @@ JSON key, a field whose default is a dataclass is a subsection, and the
 defaults live there alone. ``CONFIG_FIELDS`` gives each setting, by its
 dotted key, its JSON type and its CLI flag. The JSON holds each value as
 given: an unset ``preprocessor.fraction`` is ``null``, never its default.
+Every choice list lives here. A section refuses an unknown choice when it
+is built, and :func:`run_sweep` an unknown axis, so no stage meets one.
 
 :func:`json_obj` writes the config and the per-repeat records as their
 dataclass fields, in order. Reports serialise to JSON (stable key order; the
@@ -46,10 +48,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .automlp import AutoMlpParams, AutoMlpRun, MemberRecord, fit_automlp
+from .automlp import AutoMlpParams, AutoMlpPopulation, MemberRecord, fit_automlp
 from .baselines import (
-    PREPROCESSOR_KINDS,
-    Preprocessor,
     bootstrap_sample,
     knn_predict,
     naive_bayes_fit,
@@ -58,6 +58,7 @@ from .baselines import (
     ztransform_fit,
 )
 from .class_outlier import (
+    OutlierParams,
     OutlierReport,
     ecodb_detect,
     remove_outliers,
@@ -68,12 +69,46 @@ from .errors import ConfigError
 from .metrics import SCORES, EvalReport, evaluate, format_table, score_table
 from .mlp import predict as mlp_predict
 
+PREPROCESSOR_KINDS = ("none", "ztransform", "bootstrap", "stratified", "ecodb")
 CLASSIFIER_KINDS = ("automlp", "knn", "nb")
 SCHEMA_NAMES = ("infer", "pidd")
 SWEEP_AXES = ("preprocessor", "classifier")
 
 ECODB_GAIN_POINTS = 5.0
 """Informational expectation: accuracy gain of ecodb over alternatives."""
+
+
+def _check_choice(value: str, what: str, choices: Sequence[str]) -> None:
+    if value not in choices:
+        raise ConfigError(f"unknown {what} {value!r} (choose from: {', '.join(choices)})")
+
+
+@dataclasses.dataclass(frozen=True)
+class Preprocessor:
+    """Configuration of one train-set preprocessing step.
+
+    ``fraction`` only applies to the two samplers and defaults per sampler
+    (1.0 for bootstrap, 0.9 for stratified) when left as None. ``outlier``
+    only applies to ``ecodb``. ``seed`` feeds whichever step needs
+    randomness.
+    """
+
+    kind: str = "none"
+    fraction: Optional[float] = None
+    seed: int = 0
+    outlier: OutlierParams = dataclasses.field(default_factory=OutlierParams)
+
+    def __post_init__(self) -> None:
+        _check_choice(self.kind, "preprocessor", PREPROCESSOR_KINDS)
+        if self.fraction is not None and not 0.0 < self.fraction <= 1.0:
+            raise ConfigError(f"fraction must be in (0, 1], got {self.fraction}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+
+    def effective_fraction(self) -> float:
+        if self.fraction is not None:
+            return self.fraction
+        return 0.9 if self.kind == "stratified" else 1.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,10 +119,7 @@ class ClassifierConfig:
     knn_measure: Measure = Measure.EUCLIDEAN
 
     def __post_init__(self) -> None:
-        if self.kind not in CLASSIFIER_KINDS:
-            raise ConfigError(
-                f"unknown classifier {self.kind!r} (choose from: {', '.join(CLASSIFIER_KINDS)})"
-            )
+        _check_choice(self.kind, "classifier", CLASSIFIER_KINDS)
         if self.knn_k < 1:
             raise ConfigError(f"knn_k must be >= 1, got {self.knn_k}")
 
@@ -105,10 +137,7 @@ class ExperimentConfig:
     evaluate_on_train: bool = False
 
     def __post_init__(self) -> None:
-        if self.schema not in SCHEMA_NAMES:
-            raise ConfigError(
-                f"unknown schema {self.schema!r} (choose from: {', '.join(SCHEMA_NAMES)})"
-            )
+        _check_choice(self.schema, "schema", SCHEMA_NAMES)
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
 
@@ -296,7 +325,7 @@ class PreparedTraining:
 class FittedClassifier:
     kind: str
     predict: Callable[[np.ndarray], np.ndarray]
-    automlp_run: Optional[AutoMlpRun] = None
+    automlp_run: Optional[AutoMlpPopulation] = None
 
 
 def prepare_training_data(train: Dataset, validation: Dataset,
@@ -314,11 +343,9 @@ def prepare_training_data(train: Dataset, validation: Dataset,
     if pre.kind == "stratified":
         return PreparedTraining(stratified_sample(train, pre.effective_fraction(), pre.seed),
                                 validation, identity)
-    if pre.kind == "ecodb":
-        report = ecodb_detect(train, pre.outlier)
-        return PreparedTraining(remove_outliers(train, report), validation, identity,
-                                outliers=report)
-    raise ConfigError(f"unknown preprocessor {pre.kind!r}")
+    report = ecodb_detect(train, pre.outlier)
+    return PreparedTraining(remove_outliers(train, report), validation, identity,
+                            outliers=report)
 
 
 def fit_classifier(prepared: PreparedTraining, clf: ClassifierConfig) -> FittedClassifier:
@@ -337,10 +364,8 @@ def fit_classifier(prepared: PreparedTraining, clf: ClassifierConfig) -> FittedC
         return FittedClassifier("automlp", lambda X: mlp_predict(run.winner, X), run)
     if clf.kind == "knn":
         return FittedClassifier("knn", lambda X: knn_predict(train, X, clf.knn_k, clf.knn_measure))
-    if clf.kind == "nb":
-        model = naive_bayes_fit(train)
-        return FittedClassifier("nb", lambda X: naive_bayes_predict(model, X))
-    raise ConfigError(f"unknown classifier {clf.kind!r}")
+    model = naive_bayes_fit(train)
+    return FittedClassifier("nb", lambda X: naive_bayes_predict(model, X))
 
 
 def evaluate_prepared(fitted: FittedClassifier, dataset: Dataset) -> EvalReport:
@@ -455,13 +480,10 @@ def run_repeat(parts: DataSplit, config: ExperimentConfig, repeat_index: int) ->
     winner = None
     history = None
     if fitted.automlp_run is not None:
-        run = fitted.automlp_run
-        winner = {
-            "hidden_units": run.winner.config.hidden_units,
-            "learning_rate": run.winner.config.learning_rate,
-            "validation_error": run.winner_validation_error,
-        }
-        history = run.history
+        history = fitted.automlp_run.history
+        best = history[-1][fitted.automlp_run.winner_slot]
+        winner = {"hidden_units": best.hidden_units, "learning_rate": best.learning_rate,
+                  "validation_error": best.validation_error}
     return RepeatResult(
         repeat=repeat_index,
         split_seed=seeded.split.seed,
@@ -550,8 +572,7 @@ def run_sweep(
 
     Every variant runs on the same split of each repeat, made once.
     """
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r} (choose from: {', '.join(SWEEP_AXES)})")
+    _check_choice(axis, "sweep axis", SWEEP_AXES)
     variants = tuple(variants)
     if not variants:
         raise ConfigError("sweep needs at least one variant")

@@ -17,7 +17,6 @@ import pytest
 import oracles
 from conftest import require_pidd
 from ecoamlp.automlp import AutoMlpParams, fit_automlp
-from ecoamlp.baselines import Preprocessor
 from ecoamlp.class_outlier import (
     OutlierParams,
     _min_max,
@@ -33,6 +32,7 @@ import ecoamlp.harness
 from ecoamlp.harness import (
     ClassifierConfig,
     ExperimentConfig,
+    Preprocessor,
     run_experiment,
     run_repeat,
     run_sweep,

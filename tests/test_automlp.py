@@ -65,7 +65,7 @@ class TestRunGeneration:
         params = small_params()
         pop = init_population(params, 3)
         run_generation(pop, train, validation)
-        assert pop.generation == 1
+        assert len(pop.history) == 1
         records = pop.history[0]
         assert [r.member for r in records] == [0, 1, 2, 3]
         errors = [r.validation_error for r in records]

@@ -12,7 +12,6 @@ import oracles
 from ecoamlp.baselines import (
     VARIANCE_FLOOR,
     NaiveBayesModel,
-    Preprocessor,
     bootstrap_sample,
     knn_predict,
     naive_bayes_fit,
@@ -24,6 +23,7 @@ from ecoamlp.baselines import (
 from ecoamlp.data import Dataset
 from ecoamlp.distance import Measure, distance
 from ecoamlp.errors import ConfigError, DataError
+from ecoamlp.harness import Preprocessor
 
 from synth import numeric_schema, random_dataset
 

@@ -324,6 +324,17 @@ class TestExitCodes:
         assert code == 2
         assert "row 1, column " in err and ": blank cell" in err
 
+    @pytest.mark.parametrize("header,problem", [
+        ("a,a,label", "row 1, column 2: repeated feature name 'a'"),
+        ("a,,label", "row 1, column 2: blank feature name"),
+    ], ids=["repeated", "blank"])
+    def test_bad_header_name_is_exit_two(self, capsys, tmp_path, header, problem):
+        path = tmp_path / "t.csv"
+        path.write_text(f"{header}\n1,2,0\n2,3,1\n3,4,0\n4,5,1\n")
+        code, _, err = run_cli(capsys, "detect-outliers", "--data", str(path))
+        assert code == 2
+        assert err == f"error: {path}: {problem}\n"
+
     @pytest.mark.parametrize("obj,key", [
         ({"repeats": "10"}, "repeats"),
         ({"preprocessor": {"outlier": {"k": 3.9}}}, "preprocessor.outlier.k"),

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from ecoamlp import cli
 from ecoamlp.automlp import AutoMlpParams
-from ecoamlp.baselines import PREPROCESSOR_KINDS, Preprocessor
 from ecoamlp.class_outlier import OutlierParams
 from ecoamlp.data import SplitSpec
 from ecoamlp.distance import Measure
@@ -23,9 +22,11 @@ from ecoamlp.errors import ConfigError
 from ecoamlp.harness import (
     CLASSIFIER_KINDS,
     CONFIG_FIELDS,
+    PREPROCESSOR_KINDS,
     SCHEMA_NAMES,
     ClassifierConfig,
     ExperimentConfig,
+    Preprocessor,
     config_from_json_obj,
     json_obj,
 )

@@ -332,6 +332,17 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 1, column 'f1': blank cell"):
             load_csv(path, schema)
 
+    @pytest.mark.parametrize("schema", [pidd_schema(), None], ids=["pidd", "infer"])
+    def test_byte_order_mark_is_not_part_of_the_first_cell(self, tmp_path, schema):
+        # a first cell read as "\ufeff1" is no number, and its row no data
+        path = tmp_path / "d.csv"
+        rows = [[1, 2, 3, 4, 5, 6, 7, 8, 0], [8, 7, 6, 5, 4, 3, 2, 1, 1], [2] * 8 + [0]]
+        path.write_text("\ufeff" + "".join(",".join(map(str, r)) + "\n" for r in rows),
+                        encoding="utf-8")
+        loaded = load_csv(path, schema)
+        assert loaded.features.tolist() == [r[:-1] for r in rows]
+        assert loaded.labels.tolist() == [0, 1, 0]
+
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1.0,2.0,0\n1.0,nan,0\n")
@@ -430,6 +441,22 @@ class TestInferSchema:
         assert loaded.schema.class_labels == ("0", "1")
         assert loaded.features.tolist() == [[1.0, 2.0], [2.0, 3.0]]
         assert loaded.labels.tolist() == [0, 1]
+
+    def test_byte_order_mark_is_not_part_of_a_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("\ufeffa,b,label\n1.0,2.0,0\n2.0,3.0,1\n", encoding="utf-8")
+        assert load_csv(path).schema.features == ("a", "b")
+
+    @pytest.mark.parametrize("header,problem", [
+        ("a,a,label", "column 2: repeated feature name 'a'"),
+        ("a, ,label", "column 2: blank feature name"),
+    ], ids=["repeated", "blank"])
+    def test_bad_header_name_is_a_data_error(self, tmp_path, header, problem):
+        path = tmp_path / "d.csv"
+        path.write_text(f"{header}\n1.0,2.0,0\n2.0,3.0,1\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: row 1, {problem}"
 
     def test_nominal_column_detected(self, tmp_path):
         # and refused, naming the row and the column of its first cell

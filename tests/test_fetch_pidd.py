@@ -65,6 +65,15 @@ def test_label_aliases_read_as_one_and_zero(fetch_pidd, source, tmp_path):
     assert_same_table(load_csv(out, pidd_schema()), load_csv(source, pidd_schema()))
 
 
+def test_a_byte_order_mark_is_not_part_of_the_first_row(fetch_pidd, source, tmp_path):
+    lines = source.read_text().splitlines(keepends=True)[1:]  # no header to absorb it
+    marked = tmp_path / "marked.csv"
+    marked.write_text("\ufeff" + "".join(lines), encoding="utf-8")
+    out = tmp_path / "pidd.csv"
+    assert fetch_pidd.main(["--from-file", str(marked), "--output", str(out)]) == 0
+    assert_same_table(load_csv(out, pidd_schema()), load_csv(source, pidd_schema()))
+
+
 def test_an_abbreviated_flag_is_refused(fetch_pidd, source, tmp_path):
     # --from is a prefix of --from-file, not a flag
     with pytest.raises(SystemExit) as exc:

@@ -16,12 +16,11 @@ import numpy as np
 import pytest
 
 from ecoamlp.automlp import AutoMlpParams, fit_automlp
-from ecoamlp.baselines import Preprocessor
 from ecoamlp.class_outlier import OutlierParams, codb_detect, ecodb_detect
 from ecoamlp.data import SplitSpec, split
 from ecoamlp.distance import Measure, cross_distances, pairwise_distances
-from ecoamlp.harness import (ClassifierConfig, ExperimentConfig, json_obj, run_experiment,
-                             run_sweep)
+from ecoamlp.harness import (ClassifierConfig, ExperimentConfig, Preprocessor, json_obj,
+                             run_experiment, run_sweep)
 
 from conftest import load_module
 from synth import random_dataset

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from ecoamlp.automlp import AutoMlpParams
-from ecoamlp.baselines import Preprocessor
 from ecoamlp.class_outlier import OutlierParams
 import ecoamlp.harness as harness
 from ecoamlp.data import SplitSpec, split
@@ -19,6 +18,7 @@ from ecoamlp.harness import (
     ClassifierConfig,
     ExperimentConfig,
     PreparedTraining,
+    Preprocessor,
     aggregate_reports,
     config_from_json_obj,
     evaluate_prepared,

@@ -47,8 +47,9 @@ def test_wrapped_names_exist_and_are_restored(bench):
 RUN_HOOKS = ["harness.load_csv", "harness.split", "harness.ecodb_detect",
              "class_outlier.pairwise_distances"]
 HOOKS = {
-    "pidd-ecodb-automlp": RUN_HOOKS,
-    "pidd-baseline-sweep": RUN_HOOKS,
+    "pidd-ecodb-automlp": RUN_HOOKS + ["harness.fit_automlp", "automlp.run_generation",
+                                       "automlp.evaluate_error"],
+    "pidd-baseline-sweep": RUN_HOOKS + ["harness.knn_predict", "harness.naive_bayes_predict"],
     "pidd4x-detect-outliers": ["harness.load_csv", "cli.ecodb_detect",
                                "class_outlier.pairwise_distances"],
 }
@@ -66,7 +67,8 @@ def test_traced_round_calls_the_hooks(bench, tmp_path, name):
     calls = workload.calls(csv, tmp_path / "out", bench.cli_seeds(0), warmup=True)
     tracer, patches = bench.tracing.Tracer(), bench.tracing.Patches()
     bench.install_tracer(tracer, patches)
-    modules = {"class_outlier": class_outlier, "cli": cli, "harness": harness}
+    modules = {"automlp": automlp, "class_outlier": class_outlier, "cli": cli,
+               "harness": harness}
     hooks = bench.tracing.Tracer()  # spans named by the wrapped attribute
     for hook in HOOKS[name]:
         module, attr = hook.split(".")
