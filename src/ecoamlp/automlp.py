@@ -106,10 +106,6 @@ class AutoMlpPopulation:
     def winner(self) -> MlpNetwork:
         return self.members[self.winner_slot]
 
-    @property
-    def winner_validation_error(self) -> float:
-        return self.history[-1][self.winner_slot].validation_error
-
 
 def init_population(params: AutoMlpParams, input_dim: int) -> AutoMlpPopulation:
     """Seeded initial ensemble with log-uniform hyperparameters."""

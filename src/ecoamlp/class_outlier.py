@@ -13,7 +13,7 @@ Two scoring rules combine them; for both, a *lower* score means a stronger
 outlier:
 
 * ``codb``:  score = k * pcl + alpha * (1 / deviation) + beta * kdist,
-  with fixed weights alpha and beta.
+  with hand-tuned weights alpha and beta, arguments of ``codb_detect``.
 * ``ecodb``: score = k * pcl - norm(deviation) + norm(kdist), where the
   min-max normalisation removes the hand-tuned weights. Normalisation
   bounds come from a candidate set: the n instances with the lowest
@@ -35,7 +35,7 @@ scores them elementwise, ranks rows with one ``np.lexsort`` and builds a
 from __future__ import annotations
 
 import dataclasses
-from typing import Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -54,24 +54,19 @@ ECODB_ALGORITHM = "ecodb"
 class OutlierParams:
     """Knobs shared by both detectors.
 
-    ``alpha`` and ``beta`` only matter for codb. Defaults follow the
-    configuration used for the reference diabetes experiments: correlation
-    dissimilarity, 12 neighbours, 10 removals, alpha 100, beta 0.1.
+    Defaults follow the configuration used for the reference diabetes
+    experiments: correlation dissimilarity, 12 neighbours, 10 removals.
     """
 
     k: int = 12
     n_outliers: int = 10
     measure: Measure = Measure.CORRELATION
-    alpha: float = 100.0
-    beta: float = 0.1
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.n_outliers < 0:
             raise ConfigError(f"n_outliers must be >= 0, got {self.n_outliers}")
-        if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise ConfigError("alpha and beta must be positive")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,11 +83,12 @@ class ScoredInstance:
 
 @dataclasses.dataclass(frozen=True)
 class OutlierReport:
-    """Detection output: the top-n instances, strongest outlier first."""
+    """Detection output: the top-n instances, strongest outlier first, and codb's weights."""
 
     algorithm: str
     params: OutlierParams
     ranked: Tuple[ScoredInstance, ...]
+    weights: Dict[str, float] = dataclasses.field(default_factory=dict)
 
     @property
     def outlier_ids(self) -> Tuple[int, ...]:
@@ -101,7 +97,7 @@ class OutlierReport:
     def to_json_obj(self) -> dict:
         params = dataclasses.asdict(self.params)
         params["measure"] = self.params.measure.value
-        return {"algorithm": self.algorithm, **params,
+        return {"algorithm": self.algorithm, **params, **self.weights,
                 "outliers": [dataclasses.asdict(s) for s in self.ranked]}
 
 
@@ -119,15 +115,20 @@ def ecof(k: int, pcl_value, norm_deviation, norm_kdist):
     return k * pcl_value - norm_deviation + norm_kdist
 
 
-def codb_detect(dataset: Dataset, params: OutlierParams) -> OutlierReport:
-    """Rank all instances by codb score and keep the n lowest."""
+def codb_detect(dataset: Dataset, params: OutlierParams, alpha: float = 100.0,
+                beta: float = 0.1) -> OutlierReport:
+    """Rank all instances by codb score and keep the n lowest. The default
+    weights are those of the reference diabetes experiments."""
+    if not (0.0 < alpha < np.inf and 0.0 < beta < np.inf):
+        raise ConfigError("alpha and beta must be positive and finite")
     _check_n(params.n_outliers, len(dataset))
     ids, same_count, dev, kd = _component_table(dataset, params.k, params.measure)
     pcl = same_count / params.k
-    score, flagged = cof(params.k, pcl, dev, kd, params.alpha, params.beta)
+    score, flagged = cof(params.k, pcl, dev, kd, alpha, beta)
     top = np.lexsort((ids, score))[: params.n_outliers]
     return OutlierReport(CODB_ALGORITHM, params,
-                         _scored(top, ids, pcl, dev, kd, score, flagged))
+                         _scored(top, ids, pcl, dev, kd, score, flagged),
+                         {"alpha": alpha, "beta": beta})
 
 
 def ecodb_detect(dataset: Dataset, params: OutlierParams) -> OutlierReport:
@@ -213,8 +214,6 @@ def _deviations(D: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def _check_k(k: int, n: int) -> None:
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
     if k >= n:
         raise ConfigError(f"k={k} needs at least {k + 1} instances, dataset has {n}")
 

@@ -101,8 +101,8 @@ def _build_parser() -> _Parser:
     _add_flag(det_p, "preprocessor.outlier.k", "--k")
     _add_flag(det_p, "preprocessor.outlier.n_outliers")
     _add_flag(det_p, "preprocessor.outlier.measure", "--measure")
-    _add_flag(det_p, "preprocessor.outlier.alpha")
-    _add_flag(det_p, "preprocessor.outlier.beta")
+    det_p.add_argument("--alpha", type=float, help="codb weight (--algorithm codb)")
+    det_p.add_argument("--beta", type=float, help="codb weight (--algorithm codb)")
     det_p.add_argument("--output", metavar="FILE", dest="output_file",
                        help="write JSON here instead of stdout")
     det_p.set_defaults(run=_cmd_detect)
@@ -168,9 +168,12 @@ def _print_and_write(report, out_dir: Optional[str], write: Callable) -> int:
 
 def _cmd_detect(args) -> int:
     config = _experiment_config(args)
+    weights = {w: v for w, v in (("alpha", args.alpha), ("beta", args.beta)) if v is not None}
+    if weights and args.algorithm != "codb":
+        raise ConfigError("--alpha and --beta apply only to --algorithm codb")
     dataset = load_dataset(config)
     detect = ecodb_detect if args.algorithm == "ecodb" else codb_detect
-    report = detect(dataset, config.preprocessor.outlier)
+    report = detect(dataset, config.preprocessor.outlier, **weights)
     text = json.dumps(report.to_json_obj(), indent=2)
     if args.output_file:
         write_atomic(Path(args.output_file), text + "\n")

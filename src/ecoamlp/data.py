@@ -240,8 +240,9 @@ def load_csv(path, schema: Optional[Schema] = None) -> Dataset:
     values of the last column as class labels, in ascending string order.
     Raises :class:`DataError` naming the 1-based file line and the column
     for any malformed cell, a blank or repeated header name among them.
-    Blank cells are rejected, never imputed. A UTF-8 byte-order mark is
-    not part of the first cell.
+    Blank cells, labels included, are rejected, never imputed, and so is a
+    header that names a schema feature at another column. A UTF-8
+    byte-order mark is not part of the first cell.
     """
     path = Path(path)
     rows = _read_rows(path)
@@ -256,6 +257,8 @@ def load_csv(path, schema: Optional[Schema] = None) -> Dataset:
     if _is_header(rows, numeric, width - 1):
         if schema is None:
             names = _header_names(path, *rows[0])
+        else:
+            _check_header_order(path, *rows[0], schema.features)
         rows, numeric, features = rows[1:], numeric[1:], features[1:]
     if not rows:
         raise DataError(f"{path}: empty dataset")
@@ -265,9 +268,9 @@ def load_csv(path, schema: Optional[Schema] = None) -> Dataset:
             raise DataError(f"{path}: row {lineno} has {len(row)} columns, expected {width}")
         if not ok:
             _raise_cell_error(path, lineno, names, row)
-        if schema and cell not in schema.class_labels:
-            raise DataError(
-                f"{path}: row {lineno}, column 'label': unknown class label {cell!r}")
+        if not cell or schema and cell not in schema.class_labels:
+            problem = f"unknown class label {cell!r}" if cell else "blank cell"
+            raise DataError(f"{path}: row {lineno}, column 'label': {problem}")
     if schema is None:
         found = sorted(set(cells))
         if len(found) != 2:
@@ -298,6 +301,14 @@ def _header_names(path: Path, lineno: int, row: List[str]) -> Tuple[str, ...]:
             problem = f"repeated feature name {name!r}" if name else "blank feature name"
             raise DataError(f"{path}: row {lineno}, column {column}: {problem}")
     return names
+
+
+def _check_header_order(path: Path, lineno: int, row: List[str], features: Sequence[str]) -> None:
+    """Refuse header ``row`` when it names one of ``features`` at another column."""
+    for column, (cell, expected) in enumerate(zip(row, (*features, "label")), start=1):
+        if cell.strip() in features and cell.strip() != expected:
+            raise DataError(f"{path}: row {lineno}, column {column}: header names "
+                            f"{cell.strip()!r} where the schema expects {expected!r}")
 
 
 def _parse_into(out: np.ndarray, row: List[str]) -> bool:

@@ -10,11 +10,12 @@ Two measures are supported:
 
 ``cross_distances(Q, X)`` is the one kernel: the (m, n) matrix of
 distances from each row of Q to each row of X. ``pairwise_distances(X)``
-is its X-against-X case and ``distance(a, b)`` its 1 x 1 case, so all
-three agree bit for bit. The kernel fills the output one block of query
-rows at a time, with as many rows as ``BLOCK_ELEMENTS`` allows for what
-one query row of the block holds, so the temporaries stay within 512 KB
-whatever m is.
+is its X-against-X case, and the distance between two vectors is the 1 x 1
+case ``cross_distances(Q[i:i + 1], X[j:j + 1])[0, 0]``, so every entry is
+the same bits however many rows a call holds. The kernel fills the output
+one block of query rows at a time, with as many rows as ``BLOCK_ELEMENTS``
+allows for what one query row of the block holds, so the temporaries stay
+within 512 KB whatever m is.
 
 * Euclidean holds (rows, n, d) differences and reduces each distance on
   its own over the contiguous length-d feature axis with ``einsum``, the
@@ -68,21 +69,6 @@ class Measure(enum.Enum):
 def block_rows(row_elements: int) -> int:
     """Rows per block when one query row of a block holds ``row_elements`` values."""
     return max(1, BLOCK_ELEMENTS // max(1, row_elements))
-
-
-def distance(
-    a: np.ndarray,
-    b: np.ndarray,
-    measure: Measure = Measure.EUCLIDEAN,
-) -> float:
-    """Distance between two feature vectors under ``measure``."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError("distance expects 1-D feature vectors")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(cross_distances(a.reshape(1, -1), b.reshape(1, -1), measure)[0, 0])
 
 
 def pairwise_distances(

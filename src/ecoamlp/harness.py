@@ -21,11 +21,12 @@ dotted key, its JSON type and its CLI flag. The JSON holds each value as
 given: an unset ``preprocessor.fraction`` is ``null``, never its default.
 Every choice list lives here. A section refuses an unknown choice when it
 is built, and :func:`run_sweep` an unknown axis, so no stage meets one.
+The outlier section holds only what ECODB reads, not codb's weights.
 
 :func:`json_obj` writes the config and the per-repeat records as their
 dataclass fields, in order. Reports serialise to JSON (stable key order; the
 timestamp is the only field that varies between identical runs) and to an
-aligned text table.
+aligned text table, whose scored set reads ``train`` under ``evaluate_on_train``.
 The per-score aggregates and every score column and line of the text come
 from ``metrics.SCORES``, in its order.
 ``run_experiment`` and ``run_sweep`` only return reports; the CLI writes
@@ -219,8 +220,6 @@ CONFIG_FIELDS = {f.key: f for f in (
     ConfigField("preprocessor.outlier.k", "--outlier-k", json_int),
     ConfigField("preprocessor.outlier.n_outliers", "--n-outliers", json_int),
     ConfigField("preprocessor.outlier.measure", "--outlier-measure", _measure, _MEASURES),
-    ConfigField("preprocessor.outlier.alpha", "--alpha", json_float),
-    ConfigField("preprocessor.outlier.beta", "--beta", json_float),
     ConfigField("classifier.kind", "--classifier", json_str, {"choices": CLASSIFIER_KINDS}),
     ConfigField("classifier.automlp.ensemble_size", "--ensemble-size", json_int),
     ConfigField("classifier.automlp.cycles_per_generation", "--cycles", json_int,
@@ -323,7 +322,6 @@ class PreparedTraining:
 
 @dataclasses.dataclass
 class FittedClassifier:
-    kind: str
     predict: Callable[[np.ndarray], np.ndarray]
     automlp_run: Optional[AutoMlpPopulation] = None
 
@@ -361,11 +359,11 @@ def fit_classifier(prepared: PreparedTraining, clf: ClassifierConfig) -> FittedC
     train, validation = prepared.train, prepared.validation
     if clf.kind == "automlp":
         run = fit_automlp(train, validation, clf.automlp)
-        return FittedClassifier("automlp", lambda X: mlp_predict(run.winner, X), run)
+        return FittedClassifier(lambda X: mlp_predict(run.winner, X), run)
     if clf.kind == "knn":
-        return FittedClassifier("knn", lambda X: knn_predict(train, X, clf.knn_k, clf.knn_measure))
+        return FittedClassifier(lambda X: knn_predict(train, X, clf.knn_k, clf.knn_measure))
     model = naive_bayes_fit(train)
-    return FittedClassifier("nb", lambda X: naive_bayes_predict(model, X))
+    return FittedClassifier(lambda X: naive_bayes_predict(model, X))
 
 
 def evaluate_prepared(fitted: FittedClassifier, dataset: Dataset) -> EvalReport:
@@ -430,11 +428,16 @@ class RunReport:
             obj["created_at"] = self.created_at
         return obj
 
+    @property
+    def scored(self) -> str:
+        """The set the ``test`` scores come from, as the text reports name it."""
+        return "train" if self.config.evaluate_on_train else "test"
+
     def to_text(self) -> str:
         rows = []
         for r in self.repeats:
             rows.append((f"repeat {r.repeat} validation", r.validation))
-            rows.append((f"repeat {r.repeat} test", r.test))
+            rows.append((f"repeat {r.repeat} {self.scored}", r.test))
         agg = self.aggregates["test"]
         lines = [
             f"run of {self.config.classifier.kind} with preprocessor "
@@ -443,7 +446,7 @@ class RunReport:
             "",
             format_table(rows),
             "",
-            f"test medians over {len(self.repeats)} repeat(s): "
+            f"{self.scored} medians over {len(self.repeats)} repeat(s): "
             + ", ".join(f"{name} {agg[name]['median'] * 100:.2f}%" for name in SCORES),
         ]
         flagged = sorted({name for r in self.repeats
@@ -553,7 +556,8 @@ class SweepReport:
         for v in self.variants:
             agg = self.runs[v].aggregates["test"]
             body.append((v, [agg[name]["median"] for name in names], ()))
-        lines = [f"sweep over {self.axis} (test medians)", score_table("variant", names, body)]
+        scored = self.runs[self.variants[0]].scored
+        lines = [f"sweep over {self.axis} ({scored} medians)", score_table("variant", names, body)]
         for e in self.expectations:
             status = "met" if e["met"] else "not met"
             lines.append(
@@ -611,8 +615,8 @@ def _sweep_expectations(axis: str, variants: Tuple[str, ...],
         "observed_points": gain,
         "met": gain >= ECODB_GAIN_POINTS,
         "detail": (
-            f"ecodb test accuracy {acc['ecodb'] * 100:.2f}% vs best alternative "
-            f"{best_other} at {best_acc * 100:.2f}% "
+            f"ecodb {runs['ecodb'].scored} accuracy {acc['ecodb'] * 100:.2f}% "
+            f"vs best alternative {best_other} at {best_acc * 100:.2f}% "
             f"(gain {gain:+.2f} points, expected >= {ECODB_GAIN_POINTS:.1f})"
         ),
     }]

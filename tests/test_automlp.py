@@ -166,10 +166,11 @@ class TestFitAutomlp:
     def test_winner_is_last_generation_minimum(self, train, validation):
         run = fit_automlp(train, validation, small_params())
         last = run.history[-1]
-        assert run.winner_validation_error == min(r.validation_error for r in last)
+        winner_error = last[run.winner_slot].validation_error
+        assert winner_error == min(r.validation_error for r in last)
         assert not last[run.winner_slot].replaced
         # the stored network is the one whose error was recorded
-        assert evaluate_error(run.winner, validation) == run.winner_validation_error
+        assert evaluate_error(run.winner, validation) == winner_error
 
     def test_history_shape_and_best_error_tracking(self, train, validation):
         params = small_params(generations=5)
@@ -188,7 +189,7 @@ class TestFitAutomlp:
         run = fit_automlp(train, validation,
                           small_params(generations=4, cycles_per_generation=5,
                                        lr_range=(0.05, 0.5)))
-        assert run.winner_validation_error <= 0.2
+        assert run.history[-1][run.winner_slot].validation_error <= 0.2
 
     def test_determinism(self, train, validation):
         a = fit_automlp(train, validation, small_params())

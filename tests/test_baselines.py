@@ -21,7 +21,7 @@ from ecoamlp.baselines import (
     ztransform_fit,
 )
 from ecoamlp.data import Dataset
-from ecoamlp.distance import Measure, distance
+from ecoamlp.distance import Measure, cross_distances
 from ecoamlp.errors import ConfigError, DataError
 from ecoamlp.harness import Preprocessor
 
@@ -255,7 +255,8 @@ class TestKnn:
         k = data.draw(st.sampled_from(sorted({1, max(1, n // 2), n})))
         want = []
         for q in queries:
-            dists = np.array([distance(q, row, measure) for row in train.features])
+            dists = np.array([cross_distances(q[None], train.features[j:j + 1], measure)[0, 0]
+                              for j in range(n)])
             votes = train.labels[np.lexsort((train.ids, dists))[:k]].sum()
             want.append(1 if votes * 2 > k else 0)
         assert knn_predict(train, queries, k=k, measure=measure).tolist() == want

@@ -135,9 +135,8 @@ class TestScoreFormulas:
 
     def test_codb_score_composes_components(self):
         ds = random_dataset(30, 3, seed=2)
-        params = OutlierParams(k=4, n_outliers=30, measure=Measure.EUCLIDEAN,
-                               alpha=10.0, beta=0.5)
-        for s in codb_detect(ds, params).ranked:
+        params = OutlierParams(k=4, n_outliers=30, measure=Measure.EUCLIDEAN)
+        for s in codb_detect(ds, params, alpha=10.0, beta=0.5).ranked:
             expected = 4 * s.pcl + 10.0 / s.deviation + 0.5 * s.kdist
             assert s.score == pytest.approx(expected, abs=1e-12)
 
@@ -209,8 +208,10 @@ class TestEcodbDetect:
             ecodb_detect(ds, OutlierParams(k=3, n_outliers=11))
         with pytest.raises(ConfigError):
             OutlierParams(k=0)
-        with pytest.raises(ConfigError):
-            OutlierParams(alpha=0.0)
+        for weights in ({"alpha": 0.0}, {"beta": -1.0}, {"alpha": float("nan")},
+                        {"beta": float("inf")}):
+            with pytest.raises(ConfigError, match="alpha and beta must be positive and finite"):
+                codb_detect(ds, OutlierParams(k=3, n_outliers=3), **weights)
         with pytest.raises(ConfigError):
             OutlierParams(n_outliers=-1)
 
@@ -222,13 +223,17 @@ class TestEcodbDetect:
         assert len(obj["outliers"]) == 4
         assert set(obj["outliers"][0]) == {"id", "pcl", "deviation", "kdist",
                                            "score", "flagged"}
+        assert list(obj) == ["algorithm", "k", "n_outliers", "measure", "outliers"]
+        codb = codb_detect(ds, OutlierParams(k=3, n_outliers=4), alpha=2.0).to_json_obj()
+        assert list(codb) == ["algorithm", "k", "n_outliers", "measure", "alpha", "beta",
+                              "outliers"]
+        assert (codb["alpha"], codb["beta"]) == (2.0, 0.1)
 
 
 class TestCodbDetect:
     def test_matches_oracle(self):
         ds = random_dataset(28, 4, seed=10)
-        params = OutlierParams(k=4, n_outliers=5, measure=Measure.EUCLIDEAN,
-                               alpha=100.0, beta=0.1)
+        params = OutlierParams(k=4, n_outliers=5, measure=Measure.EUCLIDEAN)
         got = codb_detect(ds, params)
         want = oracles.codb(ds, 4, 5, "euclidean", 100.0, 0.1)
         assert list(got.outlier_ids) == [i for i, _ in want]
@@ -314,11 +319,10 @@ class TestNeighbourSelection:
     def test_rankings_match_oracles(self, ds, data):
         k = data.draw(st.integers(1, len(ds) - 1))
         n_out = data.draw(st.integers(0, len(ds)))
-        params = OutlierParams(k=k, n_outliers=n_out, measure=Measure.EUCLIDEAN,
-                               alpha=ALPHA, beta=BETA)
+        params = OutlierParams(k=k, n_outliers=n_out, measure=Measure.EUCLIDEAN)
         ecodb = [(s.id, s.score) for s in ecodb_detect(ds, params).ranked]
         assert ecodb == oracles.ecodb(ds, k, n_out, "euclidean")
-        codb = [(s.id, s.score) for s in codb_detect(ds, params).ranked]
+        codb = [(s.id, s.score) for s in codb_detect(ds, params, alpha=ALPHA, beta=BETA).ranked]
         assert codb == oracles.codb(ds, k, n_out, "euclidean", ALPHA, BETA)
 
     @NEIGHBOUR_SETTINGS

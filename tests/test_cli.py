@@ -15,6 +15,7 @@ import pytest
 import ecoamlp.cli
 import ecoamlp.harness as harness
 from ecoamlp.cli import main
+from ecoamlp.data import PIDD_FEATURES
 from ecoamlp.harness import config_from_json_obj, json_obj, ExperimentConfig
 
 from synth import random_dataset, write_csv
@@ -291,6 +292,17 @@ class TestExitCodes:
         assert code == 1
         assert "mixed" in err and "euclidean" in err and "correlation" in err
 
+    def test_codb_weights_are_no_experiment_setting(self, data_csv, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "run", "--data", data_csv, "--alpha", "1")
+        assert code == 1 and "unrecognized arguments: --alpha 1" in err
+        # as in the config block of a report written while they were settings
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(
+            {"data": data_csv, "preprocessor": {"outlier": {"alpha": 100.0, "beta": 0.1}}}))
+        for command in (["run"], ["sweep", "--variants", "none,ecodb"]):
+            assert run_cli(capsys, *command, "--config", str(config_path)) == (
+                1, "", "error: unknown outlier option(s): alpha, beta\n")
+
     def test_mixed_measure_in_config_file_is_config_error(self, data_csv, capsys, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(
@@ -338,12 +350,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("obj,key", [
         ({"repeats": "10"}, "repeats"),
         ({"preprocessor": {"outlier": {"k": 3.9}}}, "preprocessor.outlier.k"),
-        ({"preprocessor": {"outlier": {"alpha": "2.5"}}}, "preprocessor.outlier.alpha"),
+        ({"preprocessor": {"outlier": {"n_outliers": "2"}}}, "preprocessor.outlier.n_outliers"),
         ({"split": {"seed": True}}, "split.seed"),
         ({"drop_features": "skin"}, "drop_features"),
         ({"classifier": {"automlp": {"hidden_range": [2.5, 10.7]}}},
          "classifier.automlp.hidden_range"),
         ({"data": 5}, "data"),
+        ({"split": {"validation": "0.2"}}, "split.validation"),
     ])
     def test_config_value_of_another_type_is_exit_one(self, capsys, tmp_path, obj, key):
         path = tmp_path / "config.json"
@@ -379,14 +392,15 @@ class TestExitCodes:
 
     def test_flags_keep_their_types(self, capsys):
         args = ecoamlp.cli._build_parser().parse_args([
-            "run", "--outlier-k", "3", "--alpha", "2", "--split-seed", "4", "--fraction", "1",
+            "run", "--outlier-k", "3", "--validation-fraction", "0.15", "--split-seed", "4",
+            "--fraction", "1",
             "--hidden-range", "2", "9", "--lr-range", "1", "2", "--drop-feature", "f0"])
         config = ecoamlp.cli._experiment_config(args)
-        values = (config.preprocessor.outlier.k, config.preprocessor.outlier.alpha,
+        values = (config.preprocessor.outlier.k, config.split.validation,
                   config.split.seed, config.preprocessor.fraction,
                   *config.classifier.automlp.hidden_range, *config.classifier.automlp.lr_range,
                   *config.drop_features)
-        assert values == (3, 2.0, 4, 1.0, 2, 9, 1.0, 2.0, "f0")
+        assert values == (3, 0.15, 4, 1.0, 2, 9, 1.0, 2.0, "f0")
         assert [type(v) for v in values] == [int, float, int, float, int, int, float, float, str]
         code, _, err = run_cli(capsys, "run", "--outlier-k", "3.9")
         assert code == 1 and "--outlier-k: invalid int value: '3.9'" in err
@@ -493,6 +507,41 @@ class TestDetectOutliers:
         obj = json.loads(out)
         assert obj["algorithm"] == "codb"
         assert obj["alpha"] == 100.0
+
+    def test_codb_weights_are_flags_of_codb_alone(self, data_csv, capsys):
+        argv = ("detect-outliers", "--data", data_csv, "--k", "5", "--measure", "euclidean")
+        code, out, _ = run_cli(capsys, *argv, "--algorithm", "codb", "--alpha", "5",
+                               "--beta", "2")
+        assert code == 0
+        assert (json.loads(out)["alpha"], json.loads(out)["beta"]) == (5.0, 2.0)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert not {"alpha", "beta"} & set(json.loads(out))
+        assert run_cli(capsys, *argv, "--alpha", "5") == (
+            1, "", "error: --alpha and --beta apply only to --algorithm codb\n")
+        code, _, err = run_cli(capsys, *argv, "--algorithm", "codb", "--beta", "0")
+        assert (code, err) == (1, "error: alpha and beta must be positive and finite\n")
+
+    @pytest.mark.parametrize("schema", [[], ["--schema", "pidd"]], ids=["infer", "pidd"])
+    def test_blank_label_is_exit_two(self, capsys, tmp_path, schema):
+        path = tmp_path / "d.csv"
+        rows = [f"{i},{8 - i},3,4,5,6,7,8,{i % 2}" for i in range(8)]
+        rows[3] = rows[3][:-1]
+        path.write_text("\n".join(rows) + "\n")
+        assert run_cli(capsys, "detect-outliers", "--data", str(path), "--k", "3",
+                       "--n-outliers", "2", *schema) == (
+            2, "", f"error: {path}: row 4, column 'label': blank cell\n")
+
+    def test_header_with_a_feature_in_another_column_is_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "d.csv"
+        header = ["Pregnancies", "BloodPressure", "Glucose", *PIDD_FEATURES[3:], "Outcome"]
+        rows = [f"{i},{8 - i},3,4,5,6,7,8,{i % 2}" for i in range(8)]
+        path.write_text("\n".join([",".join(header), *rows]) + "\n")
+        code, out, err = run_cli(capsys, "detect-outliers", "--data", str(path),
+                                 "--schema", "pidd", "--drop-feature", "Glucose")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: row 1, column 2: header names 'BloodPressure' "
+                       "where the schema expects 'Glucose'\n")
 
     def test_output_file(self, data_csv, capsys, tmp_path):
         path = tmp_path / "outliers.json"

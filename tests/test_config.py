@@ -75,7 +75,7 @@ configs = st.builds(
         fraction=st.none() | st.floats(0.01, 1.0),
         seed=seeds,
         outlier=st.builds(OutlierParams, k=st.integers(1, 50), n_outliers=st.integers(0, 50),
-                          measure=st.sampled_from(Measure), alpha=positive, beta=positive),
+                          measure=st.sampled_from(Measure)),
     ),
     classifier=st.builds(
         ClassifierConfig,

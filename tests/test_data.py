@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from ecoamlp.baselines import stratified_sample
 from ecoamlp.data import (
+    PIDD_FEATURES,
     Dataset,
     DataSplit,
     Schema,
@@ -342,6 +343,33 @@ class TestLoadCsv:
         loaded = load_csv(path, schema)
         assert loaded.features.tolist() == [r[:-1] for r in rows]
         assert loaded.labels.tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize("schema", [Schema(("a", "b"), ("", "yes")), None],
+                             ids=["schema", "infer"])
+    def test_blank_label_rejected(self, tmp_path, schema):
+        # inferred, a blank label would be a class named ''
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,label\n1,2,yes\n3,4,\n5,6,yes\n7,8,\n")
+        with pytest.raises(DataError, match=f"^{path}: row 3, column 'label': blank cell$"):
+            load_csv(path, schema)
+
+    def test_header_naming_a_feature_in_another_column_rejected(self, tmp_path):
+        # read by position, Pregnancies would be 148 and Glucose 6
+        path = tmp_path / "d.csv"
+        header = ["Glucose", "Pregnancies", *PIDD_FEATURES[2:], "Outcome"]
+        path.write_text(",".join(header) + "\n148,6,72,35,0,33.6,0.627,50,1\n"
+                        "85,1,66,29,0,26.6,0.351,31,0\n")
+        with pytest.raises(DataError, match=f"^{path}: row 1, column 1: header names "
+                                            "'Glucose' where the schema expects 'Pregnancies'$"):
+            load_csv(path, pidd_schema())
+
+    def test_header_of_other_names_loads_by_position(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("preg,plas,pres,skin,insu,mass,pedi,age,class\n"
+                        "6,148,72,35,0,33.6,0.627,50,1\n1,85,66,29,0,26.6,0.351,31,0\n")
+        loaded = load_csv(path, pidd_schema())
+        assert loaded.schema.features == PIDD_FEATURES
+        assert loaded.features[:, :2].tolist() == [[6.0, 148.0], [1.0, 85.0]]
 
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -18,11 +18,15 @@ from ecoamlp.distance import (
     _correlation_arrays,
     block_rows,
     cross_distances,
-    distance,
     nearest_neighbours,
     pairwise_distances,
 )
 from ecoamlp.errors import ConfigError
+
+
+def distance(a, b, measure=Measure.EUCLIDEAN):
+    """The distance between two vectors: the kernel's 1 x 1 case."""
+    return cross_distances(np.reshape(a, (1, -1)), np.reshape(b, (1, -1)), measure)[0, 0]
 
 
 class TestParse:

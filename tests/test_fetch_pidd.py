@@ -55,6 +55,20 @@ def test_a_nan_cell_installs_nothing(fetch_pidd, source, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["source.csv"]
 
 
+def test_a_header_with_features_swapped_installs_nothing(fetch_pidd, source, tmp_path):
+    lines = source.read_text().splitlines()
+    assert lines[0] == ",".join(fetch_pidd.HEADER)  # the canonical header installs, above
+    names = lines[0].split(",")
+    names[0], names[1] = names[1], names[0]
+    source.write_text("\n".join([",".join(names), *lines[1:]]) + "\n")
+    out = tmp_path / "pidd.csv"
+    with pytest.raises(SystemExit) as exc:
+        fetch_pidd.main(["--from-file", str(source), "--output", str(out)])
+    assert str(exc.value) == (f"{source}: row 1, column 1: header names 'Glucose' "
+                              "where the schema expects 'Pregnancies'")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["source.csv"]
+
+
 def test_label_aliases_read_as_one_and_zero(fetch_pidd, source, tmp_path):
     aliases = {"1": "tested_positive", "0": "tested_negative"}
     lines = source.read_text().splitlines()[1:]  # and no header

@@ -65,20 +65,24 @@ def test_automlp_winner_and_history(seed):
     assert got == AUTOMLP_GOLDEN[seed]
 
 
+# codb reports keep their weights; an ecodb report lost alpha and beta, and
+# its digest is that of the earlier report with the two keys removed.
 OUTLIER_GOLDEN = {
     ("codb", "correlation"): "5a16c27bf28fbe6cd6f5d4c333cdbe048f7cdc9311728231f8a6631d3830c304",
     ("codb", "euclidean"): "aa832e7114868779dbf650e1eb33407375740b9eeda8f7760138e9df753e0b07",
-    ("ecodb", "correlation"): "bd28cce185e915b74636743cb084e9a432826132fcfd8f81938ba6955e26b465",
-    ("ecodb", "euclidean"): "fc3b5e6e11379c30ea711308ec535173262bc963e668bd56f23002d9f26b40f2",
+    ("ecodb", "correlation"): "a58f5e5ecb5eee2e15688dc5ac2478c48a04d10f6879ae5175035aa64a8570ea",
+    ("ecodb", "euclidean"): "e51354b64bc81e206520c245e6030b9753f74f5076b19b60272eda50eaf5d994",
 }
 
 
 @pytest.mark.parametrize("algorithm,measure", sorted(OUTLIER_GOLDEN))
 def test_outlier_ranking(algorithm, measure):
     ds = random_dataset(80, 5, seed=4, separation=1.0)
-    detect = ecodb_detect if algorithm == "ecodb" else codb_detect
-    report = detect(ds, OutlierParams(k=6, n_outliers=12, measure=Measure.parse(measure),
-                                      alpha=10.0, beta=0.5))
+    params = OutlierParams(k=6, n_outliers=12, measure=Measure.parse(measure))
+    if algorithm == "ecodb":
+        report = ecodb_detect(ds, params)
+    else:
+        report = codb_detect(ds, params, alpha=10.0, beta=0.5)
     assert _json_digest(report.to_json_obj()) == OUTLIER_GOLDEN[(algorithm, measure)]
 
 
@@ -146,22 +150,25 @@ def test_split_ids(seed, stratified):
 # Reports carry their config, whose unset preprocessor.fraction is null.
 # Each digest without the config key is the same as when the config held
 # the sampler's default there (CHANGES.md lists both).
+# The config's outlier section no longer holds codb's alpha and beta, nor
+# does an ecodb report: each digest is that of the earlier report with
+# those two keys removed (CHANGES.md lists both).
 RUN_GOLDEN = {
-    ("bootstrap", "automlp"): "45767c8de564a3400746febdabed3ac83278409e8e764b0c0dfb088846af79ee",
-    ("bootstrap", "knn"): "6dd9963ba76fa52306737e62226ac06f8fbfd6d86e05e908b4cac735dc5b8039",
-    ("bootstrap", "nb"): "cd31d983a41b01f0f411cf7d1888d0806c78c72b2e27a63343d8c91dca90d689",
-    ("ecodb", "automlp"): "21954b6632adf1e48db098eb832d6edd2ddc56d02e3a2db5fdf729684e6e2ea4",
-    ("ecodb", "knn"): "c21a427f1c9807323013dfa33330450e0b203f8139d37e8034e8c1a70ff18af0",
-    ("ecodb", "nb"): "c70d9fb049c5607caa6ff46ce49f9ed8d1b0ff58a06a24a2f1064fdfe5ce4462",
-    ("none", "automlp"): "0893670daee8e1ca12f75275078e4fcae74c4cb2b91a72ad0c636b0186e7fde5",
-    ("none", "knn"): "8c970b4d736c4ebe183767cb0c6d7eb6b045e6451bf720d600167bcda03e48bb",
-    ("none", "nb"): "8df6becd060e3d712e23dc9862ffaf2eb1a77396e74df193b149df2026864eaa",
-    ("stratified", "automlp"): "93d9ed44b6921929e01360d19ed765777b090cae57943dc78ce6775488e629d0",
-    ("stratified", "knn"): "0b4fd213c28a93142ce8be8fb101d8ebc359cd3d46053cb55b6610e2f0f9d55d",
-    ("stratified", "nb"): "aec05671498a267a3b1a2bbbfd9262784de9f80cb321024e0db4eaa8ce945e6d",
-    ("ztransform", "automlp"): "c19c8c955ca2ac3686c28059921bc87fe0bda67867e438b9831d2ed6c6c74786",
-    ("ztransform", "knn"): "abf7013990fdf06b801bcce1f725cc975b441e4b6090e7e988c1a343f58513e7",
-    ("ztransform", "nb"): "ac5c027a276f34b8423230fb5aa146f2d62d02994b73ce1f142c48cd6a59f079",
+    ("bootstrap", "automlp"): "aa99abff524ce8a26e5a5eb7bf6219641ffd2fb8d706a3d9bb4d691cdfe60286",
+    ("bootstrap", "knn"): "593fae1f6e5015826fee1557484d2bbadbbe35aca2da22d99a34a938196039d5",
+    ("bootstrap", "nb"): "dc63735f7a198f3b275f099408a953b65017e3a0d7d5d331e0b0191941b4141e",
+    ("ecodb", "automlp"): "a89bd41e90fb0ec0a33c04d208e4f0e5d533b40868aae7f156bb420399769c50",
+    ("ecodb", "knn"): "2e162edff024474b79840e31e5b95f2eb060241f10377215f5dd4812f4c41bef",
+    ("ecodb", "nb"): "8cd5e9501d3a27a8eb9f2f4ceda3bcd44d5de7f213ad352140f8213bdebd7d84",
+    ("none", "automlp"): "f833fa315bcfb63f2091efc67dac3ffd9e79911696283585a9ed8b1c566b134c",
+    ("none", "knn"): "431dc8886be4d9d21194a0457e3255c0a2b246d41d6cd7639b6e4c82cec67077",
+    ("none", "nb"): "29ba286b87e85302ec74c5ab1c2405b04fbb4ce5437c614fc1c4deb485fd9311",
+    ("stratified", "automlp"): "eb3d739433eaa49065e4f05c81636d18e78c08d6f0a5e6bb499eb08e71c0270c",
+    ("stratified", "knn"): "030d57a47a4e0f146383e8030cf6368aadd23a7dc5bf796aba8940da4d9d2eb7",
+    ("stratified", "nb"): "13173c4c2738e18c31eb8304c1846a5351cfe37ae9e81e35f85acdfc9804a089",
+    ("ztransform", "automlp"): "6ecf8f1fe60d7acbb9174e98e92563aa7d72e75f7dfe04aba2ce6ad95e04c83a",
+    ("ztransform", "knn"): "c92c9d1267a8052979c828063f242d740d858c0d757af94a615ff795df79369a",
+    ("ztransform", "nb"): "af771f1d62beaf6c6e6cb422454c0ee89d8b3968a770614b17e51ac0d38938f3",
 }
 
 

@@ -146,7 +146,7 @@ class TestConfig:
     @pytest.mark.parametrize("key,value,expected", [
         ("repeats", "10", "an integer"),
         ("preprocessor.outlier.k", 3.9, "an integer"),
-        ("preprocessor.outlier.alpha", "2.5", "a number"),
+        ("split.validation", "2.5", "a number"),
         ("split.seed", True, "an integer"),
         ("drop_features", "skin", "a list"),
         ("drop_features", ["skin", 3], "a string"),
@@ -248,7 +248,6 @@ class TestFitAndEvaluate:
                                          Preprocessor(kind="none"))
         clf = ClassifierConfig(kind=kind, automlp=TINY_AUTOMLP, knn_k=3)
         fitted = fit_classifier(prepared, clf)
-        assert fitted.kind == kind
         rep = evaluate_prepared(fitted, prepared.validation)
         assert 0.0 <= rep.accuracy <= 1.0
         assert (fitted.automlp_run is not None) == (kind == "automlp")
@@ -454,6 +453,20 @@ class TestSweep:
                for v in ("none", "ecodb")}
         assert exp["observed_points"] == pytest.approx(
             (acc["ecodb"] - acc["none"]) * 100.0)
+
+    @pytest.mark.parametrize("on_train", [False, True], ids=["test", "train"])
+    def test_text_names_the_scored_set(self, dataset, on_train):
+        scored, other = ("train", "test") if on_train else ("test", "train")
+        config = knn_config(repeats=2, evaluate_on_train=on_train,
+                            preprocessor=Preprocessor(outlier=OutlierParams(k=5, n_outliers=5)))
+        text = run_experiment(config, dataset=dataset).to_text()
+        labels = [line.split("  ")[0] for line in text.splitlines() if line.startswith("repeat")]
+        assert labels == [f"repeat {i} {part}" for i in (0, 1) for part in ("validation", scored)]
+        assert f"\n{scored} medians over 2 repeat(s): accuracy " in text
+        assert f"{other} medians" not in text
+        sweep = run_sweep(config, "preprocessor", ("none", "ecodb"), dataset=dataset).to_text()
+        assert sweep.startswith(f"sweep over preprocessor ({scored} medians)\n")
+        assert f": ecodb {scored} accuracy " in sweep and f" {other} " not in sweep
 
     def test_classifier_sweep_has_no_expectations(self, dataset):
         sweep = run_sweep(knn_config(), "classifier", ("knn", "nb"),
