@@ -24,10 +24,13 @@ Neighbourhoods never include the query instance itself. Neighbour ties at
 equal distance are broken by ascending instance id; the rule lives in
 ``distance.nearest_neighbours``, which k-NN voting shares.
 
-Each detection builds one n x n matrix with ``pairwise_distances`` and
-derives all components from it in row blocks, without a per-row loop
-(see ``_component_table``); the results equal a row-at-a-time
-computation bit for bit. The components stay columns: each detector
+Each detection calls ``pairwise_distances`` once and never holds the
+n x n matrix: it takes the matrix's consecutive row blocks and derives
+every component of a block's rows from that block alone, the k nearest
+neighbours, kdists and same-class deviation sums, then drops it (see
+``_component_table``). So a detection holds O(n) memory beyond the
+distance kernel's fixed buffers (about 2.5 MB at 3072 rows), and the
+results equal a row-at-a-time computation bit for bit. The components stay columns: each detector
 scores them elementwise, ranks rows with one ``np.lexsort`` and builds a
 ``ScoredInstance`` only for the n rows it reports.
 """
@@ -40,7 +43,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .data import Dataset
-from .distance import Measure, block_rows, nearest_neighbours, pairwise_distances
+from .distance import Measure, nearest_neighbours, pairwise_distances
 from .errors import ConfigError
 
 EPSILON_DEVIATION = 1e-12
@@ -179,38 +182,35 @@ def _component_table(
     """Per-instance columns: ids, same-label neighbour counts, deviations
     and kdists, in row order.
 
-    Each component is one gathered 2-D array summed along its last axis:
-    the k neighbours in (distance, id) order for kdist, and the other rows
-    of the instance's class in row order for deviation. A last-axis sum of
-    a row is the same pairwise summation as the 1-D ``sum`` of that row,
-    so every component equals the one-row-at-a-time result bit for bit.
+    The components of a block of rows come from that block of the distance
+    matrix alone, so the matrix is never held whole. Each component is one
+    gathered 2-D array summed along its last axis: the k neighbours in
+    (distance, id) order for kdist, and the other rows of the instance's
+    class in row order for deviation. A last-axis sum of a row is the same
+    pairwise summation as the 1-D ``sum`` of that row, so every component
+    equals the one-row-at-a-time result bit for bit.
     """
     _check_k(k, len(dataset))
-    D = pairwise_distances(dataset.features, measure)
-    labels = dataset.labels
-    neighbours = nearest_neighbours(D, dataset.ids, k, exclude_self=True)
+    labels, ids = dataset.labels, dataset.ids
+    classes = {label: np.flatnonzero(labels == label) for label in np.unique(labels)}
+    position = np.empty(len(dataset), dtype=np.intp)  # each row's place in its class
+    for members in classes.values():
+        position[members] = np.arange(len(members))
+    neighbours = np.empty((len(dataset), k), dtype=np.intp)
+    dev, kdist = np.empty(len(dataset)), np.empty(len(dataset))
+    for start, D in pairwise_distances(dataset.features, measure):
+        rows = slice(start, start + len(D))
+        neighbours[rows] = nearest_neighbours(D, ids, k, exclude_self=True, start=start)
+        kdist[rows] = np.take_along_axis(D, neighbours[rows], axis=1).sum(axis=1)
+        for label, members in classes.items():
+            # the block's rows of this class, each gathering the class's
+            # columns in row order with its own column left out
+            own = np.flatnonzero(labels[rows] == label)
+            others = np.arange(len(members)) != position[start + own, None]
+            same = np.take(D[own], members, axis=1)[others]
+            dev[start + own] = same.reshape(len(own), len(members) - 1).sum(axis=1)
     same_count = np.count_nonzero(labels[neighbours] == labels[:, None], axis=1)
-    kdist = np.take_along_axis(D, neighbours, axis=1).sum(axis=1)
-    return dataset.ids, same_count, _deviations(D, labels), kdist
-
-
-def _deviations(D: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Each row's summed distance to the other rows of its class.
-
-    Rows of one class are taken in blocks; block row p gathers the class's
-    columns in row order with its own position p left out.
-    """
-    dev = np.empty(D.shape[0])
-    for label in np.unique(labels):
-        rows = np.flatnonzero(labels == label)
-        others = np.arange(rows.shape[0] - 1)
-        step = block_rows(rows.shape[0])
-        for start in range(0, rows.shape[0], step):
-            own = rows[start:start + step]
-            positions = np.arange(start, start + own.shape[0])[:, None]
-            cols = rows[others + (others >= positions)]
-            dev[own] = D[own[:, None], cols].sum(axis=1)
-    return dev
+    return ids, same_count, dev, kdist
 
 
 def _check_k(k: int, n: int) -> None:

@@ -14,13 +14,16 @@ must be numeric. The report files of ``run`` and ``sweep`` are written here,
 once, after the harness returns; every output file is written whole or not
 at all. Exit codes: 0 success, 1 bad configuration (an unknown measure or an
 output path that cannot be written among them), 2 bad data (a non-numeric
-feature cell among them), 3 internal error.
+feature cell among them), 3 internal error, 141 (128 + SIGPIPE, as a shell
+reports a program that a closed pipe stopped) when the reader of standard
+output closed it early, as ``| head`` does; nothing is printed then.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, List, Optional
@@ -60,10 +63,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output; point it at devnull so that the
+        # flush at exit finds somewhere to write what is still buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -53,6 +53,8 @@ class Schema:
             raise ConfigError("feature names must be unique")
         if len(self.class_labels) != 2:
             raise ConfigError("exactly two class labels are required")
+        if not all(self.class_labels):
+            raise ConfigError("class labels must be non-empty")
         if len(set(self.class_labels)) != 2:
             raise ConfigError("class labels must be distinct")
 
@@ -241,8 +243,9 @@ def load_csv(path, schema: Optional[Schema] = None) -> Dataset:
     Raises :class:`DataError` naming the 1-based file line and the column
     for any malformed cell, a blank or repeated header name among them.
     Blank cells, labels included, are rejected, never imputed, and so is a
-    header that names a schema feature at another column. A UTF-8
-    byte-order mark is not part of the first cell.
+    header that names a schema feature at another column or whose width
+    is not the schema's. A UTF-8 byte-order mark is not part of the first
+    cell.
     """
     path = Path(path)
     rows = _read_rows(path)
@@ -255,6 +258,7 @@ def load_csv(path, schema: Optional[Schema] = None) -> Dataset:
     numeric = [_parse_into(out, row) for out, (_, row) in zip(features, rows)]
     names = schema.features if schema else tuple(f"f{i}" for i in range(width - 1))
     if _is_header(rows, numeric, width - 1):
+        _check_width(path, *rows[0], width)
         if schema is None:
             names = _header_names(path, *rows[0])
         else:
@@ -264,8 +268,7 @@ def load_csv(path, schema: Optional[Schema] = None) -> Dataset:
         raise DataError(f"{path}: empty dataset")
     cells = [row[-1].strip() for _, row in rows]
     for (lineno, row), ok, cell in zip(rows, numeric, cells):
-        if len(row) != width:
-            raise DataError(f"{path}: row {lineno} has {len(row)} columns, expected {width}")
+        _check_width(path, lineno, row, width)
         if not ok:
             _raise_cell_error(path, lineno, names, row)
         if not cell or schema and cell not in schema.class_labels:
@@ -301,6 +304,11 @@ def _header_names(path: Path, lineno: int, row: List[str]) -> Tuple[str, ...]:
             problem = f"repeated feature name {name!r}" if name else "blank feature name"
             raise DataError(f"{path}: row {lineno}, column {column}: {problem}")
     return names
+
+
+def _check_width(path: Path, lineno: int, row: List[str], width: int) -> None:
+    if len(row) != width:
+        raise DataError(f"{path}: row {lineno} has {len(row)} columns, expected {width}")
 
 
 def _check_header_order(path: Path, lineno: int, row: List[str], features: Sequence[str]) -> None:

@@ -8,14 +8,26 @@ Two measures are supported:
   vector has zero variance the correlation is taken as 0 (distance 1),
   except that element-wise equal vectors are always at distance 0.
 
-``cross_distances(Q, X)`` is the one kernel: the (m, n) matrix of
-distances from each row of Q to each row of X. ``pairwise_distances(X)``
-is its X-against-X case, and the distance between two vectors is the 1 x 1
-case ``cross_distances(Q[i:i + 1], X[j:j + 1])[0, 0]``, so every entry is
-the same bits however many rows a call holds. The kernel fills the output
-one block of query rows at a time, with as many rows as ``BLOCK_ELEMENTS``
-allows for what one query row of the block holds, so the temporaries stay
-within 512 KB whatever m is.
+One kernel computes distances from query rows Q to rows X; the per-call
+set-up (the centring, norms and ``_row_labels`` of correlation) runs once
+and each kernel call fills a block of query rows. Two functions use it:
+
+* ``cross_distances(Q, X)`` returns the whole (m, n) matrix, the form
+  k-NN voting needs.
+* ``pairwise_distances(X)`` never holds the n x n matrix: it yields its
+  consecutive row blocks ``(start, block)``, each a (rows, n) view of one
+  buffer that the next block overwrites. A block has ``block_rows(2 * n)``
+  rows, so it and a consumer's one copy of it fit ``BLOCK_ELEMENTS``
+  (512 KB) whatever the measure; the class-outlier detectors derive every
+  component from one block at a time.
+
+Within a block the kernel takes as many query rows per call as its
+budget allows for what one query row of the call holds: d values per
+distance within ``BLOCK_ELEMENTS`` (512 KB) for euclidean,
+``_correlation_arrays(d)`` within ``CORRELATION_ELEMENTS`` (2 MB) for
+correlation, whatever m is. The distance between two vectors is the
+1 x 1 case ``cross_distances(Q[i:i + 1], X[j:j + 1])[0, 0]``, and every
+entry is the same bits however many rows a call or a block holds.
 
 * Euclidean holds (rows, n, d) differences and reduces each distance on
   its own over the contiguous length-d feature axis with ``einsum``, the
@@ -42,15 +54,29 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Tuple
+from typing import Callable, Iterator, Tuple
 
 import numpy as np
 
 from .errors import ConfigError
 
 BLOCK_ELEMENTS = 1 << 16
-"""Values one block may hold (2^16 float64 = 512 KB): its largest
-temporary for euclidean, all its arrays together for correlation."""
+"""Values one block of rows may hold (2^16 float64 = 512 KB): a block of
+``pairwise_distances`` and one copy of it, or a block of
+``nearest_neighbours``."""
+
+CORRELATION_ELEMENTS = 1 << 18
+"""Values all the arrays of one correlation kernel call may hold (2^18
+float64 = 2 MB). It is four times ``BLOCK_ELEMENTS`` because a distance
+costs the kernel eight arrays at PIDD's d = 8, against two values for a
+block and its copy, so one call fills a whole block of
+``pairwise_distances``. Smaller calls repeat the kernel's fixed cost of
+about 30 numpy calls. They also cost page faults in a process that runs
+many detections: glibc's malloc returns the free top of its heap to the
+system unless it has freed a block at least as large, and with 512 KB
+calls a baseline sweep took ten times the minor page faults. Euclidean,
+two numpy calls per kernel call, keeps its (rows, n, d) difference within
+``BLOCK_ELEMENTS``, where it stays in cache between its write and read."""
 
 
 class Measure(enum.Enum):
@@ -66,17 +92,30 @@ class Measure(enum.Enum):
             raise ConfigError(f"unknown measure {name!r} (choose from: {choices})") from None
 
 
-def block_rows(row_elements: int) -> int:
-    """Rows per block when one query row of a block holds ``row_elements`` values."""
-    return max(1, BLOCK_ELEMENTS // max(1, row_elements))
+def block_rows(row_elements: int, budget: int = BLOCK_ELEMENTS) -> int:
+    """Rows per block of ``budget`` values when one row holds ``row_elements``."""
+    return max(1, budget // max(1, row_elements))
 
 
 def pairwise_distances(
     X: np.ndarray,
     measure: Measure = Measure.EUCLIDEAN,
-) -> np.ndarray:
-    """Symmetric n x n distance matrix with an exactly-zero diagonal."""
-    return cross_distances(X, X, measure)
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Consecutive row blocks ``(start, D[start:start + rows])`` of the
+    symmetric n x n distance matrix D, which has an exactly-zero diagonal.
+
+    A block has ``block_rows(2 * n)`` rows, so it and one copy of it fit
+    ``BLOCK_ELEMENTS``. Every block is a view of one buffer, valid until
+    the next block is drawn: a fresh array per block cost a page fault
+    per 4 KB of it. The measure's set-up runs once, in this call, before
+    any block is drawn.
+    """
+    X = _matrix(X)
+    fill = _row_filler(X, X, measure)
+    step = block_rows(2 * len(X))
+    buffer = np.empty((min(step, len(X)), len(X)))
+    return ((start, fill(start, buffer[:len(X) - start]))
+            for start in range(0, len(X), step))
 
 
 def cross_distances(
@@ -85,20 +124,10 @@ def cross_distances(
     measure: Measure = Measure.EUCLIDEAN,
 ) -> np.ndarray:
     """(m, n) matrix whose entry (i, j) is the distance from ``Q[i]`` to ``X[j]``."""
-    # row-major, so every reduction runs along a contiguous row
-    Q = np.ascontiguousarray(Q, dtype=np.float64)
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if Q.ndim != 2 or X.ndim != 2:
-        raise ValueError("Q and X must be 2-D matrices of row vectors")
+    Q, X = _matrix(Q), _matrix(X)
     if Q.shape[1] != X.shape[1]:
         raise ValueError(f"length mismatch: {Q.shape[1]} vs {X.shape[1]} features")
-    block, row_values = _block_kernel(Q, X, measure)
-    out = np.empty((Q.shape[0], X.shape[0]))
-    step = block_rows(row_values)
-    for start in range(0, Q.shape[0], step):
-        rows = slice(start, start + step)
-        out[rows] = block(rows)
-    return out
+    return _row_filler(Q, X, measure)(0, np.empty((len(Q), len(X))))
 
 
 def nearest_neighbours(
@@ -106,11 +135,13 @@ def nearest_neighbours(
     ids: np.ndarray,
     k: int,
     exclude_self: bool = False,
+    start: int = 0,
 ) -> np.ndarray:
     """Column indices of each row's k nearest columns of ``D``, nearest first.
 
     Columns are ordered by (distance, ``ids[column]``, column). With
-    ``exclude_self`` D is square and row i never picks column i. Each
+    ``exclude_self`` D is the row block that starts at row ``start`` of a
+    square matrix, and its row i never picks column start + i. Each
     block of rows is partitioned with ``argpartition`` (the own column set
     to +inf) and the k picks sorted by (distance, id, column). Where a
     row's finite k-th distance ties a column left out, the block's tied
@@ -122,20 +153,22 @@ def nearest_neighbours(
     """
     m, n = D.shape
     out = np.empty((m, k), dtype=np.intp)
-    rank = np.empty(n, dtype=np.int32)  # each column's place in (id, column) order
-    rank[np.argsort(ids, kind="stable")] = np.arange(n)
+    rank = None  # each column's place in (id, column) order, sorted at the first tie
     step = block_rows(n)
-    for start in range(0, m, step):
-        block = D[start:start + step]
+    for first in range(0, m, step):
+        block = D[first:first + step]
         b = block.shape[0]
         if exclude_self:
             block = block.copy()
-            block[np.arange(b), np.arange(start, start + b)] = np.inf
+            block[np.arange(b), np.arange(start + first, start + first + b)] = np.inf
         picks = np.argpartition(block, k - 1, axis=1)[:, :k]
         kth = np.take_along_axis(block, picks[:, k - 1:], axis=1)
         finite = np.isfinite(kth[:, 0])
         tied = np.flatnonzero(finite & (np.count_nonzero(block <= kth, axis=1) > k))
         if tied.size:
+            if rank is None:
+                rank = np.empty(n, dtype=np.int32)
+                rank[np.argsort(ids, kind="stable")] = np.arange(n)
             # every column nearer than the k-th goes in; columns at it fill up by rank
             rows, at = block[tied], kth[tied]
             key = np.full(rows.shape, n, dtype=np.int32)
@@ -144,22 +177,49 @@ def nearest_neighbours(
             picks[tied] = np.argpartition(key, k - 1, axis=1)[:, :k]
         dists = np.take_along_axis(block, picks, axis=1)
         order = np.lexsort((picks, ids[picks], dists), axis=1)
-        out[start:start + b] = np.take_along_axis(picks, order, axis=1)
+        out[first:first + b] = np.take_along_axis(picks, order, axis=1)
         for r in np.flatnonzero(~finite):
-            row = start + r
+            row = first + r
             full = np.lexsort((ids, D[row]))
             if exclude_self:
-                full = full[full != row]
+                full = full[full != start + row]
             out[row] = full[:k]
     return out
+
+
+def _matrix(A: np.ndarray) -> np.ndarray:
+    """``A`` as a row-major float64 matrix, so every reduction runs along a contiguous row."""
+    A = np.ascontiguousarray(A, dtype=np.float64)
+    if A.ndim != 2:
+        raise ValueError("Q and X must be 2-D matrices of row vectors")
+    return A
+
+
+def _row_filler(
+    Q: np.ndarray,
+    X: np.ndarray,
+    measure: Measure,
+) -> Callable[[int, np.ndarray], np.ndarray]:
+    """``fill(start, out)``: writes the distances from the rows of Q from
+    ``start`` on to every row of X into ``out`` and returns it, in as few
+    kernel calls as the measure's budget allows. The set-up of the measure
+    runs once, here."""
+    kernel, step = _block_kernel(Q, X, measure)
+
+    def fill(start, out):
+        for at in range(0, len(out), step):
+            kernel(slice(start + at, start + min(at + step, len(out))), out[at:at + step])
+        return out
+    return fill
 
 
 def _block_kernel(
     Q: np.ndarray,
     X: np.ndarray,
     measure: Measure,
-) -> Tuple[Callable[[slice], np.ndarray], int]:
-    """The measure's block function and the values one query row of a block holds."""
+) -> Tuple[Callable[[slice, np.ndarray], None], int]:
+    """The measure's block function, which writes the distances from
+    ``Q[rows]`` into ``out``, and the most rows one call may take."""
     if measure is Measure.EUCLIDEAN:
         return _euclidean(Q, X)
     if measure is Measure.CORRELATION:
@@ -170,10 +230,10 @@ def _block_kernel(
 
 
 def _euclidean(Q, X):
-    def block(rows):
+    def block(rows, out):
         diff = X - Q[rows, None, :]
-        return np.sqrt(np.einsum("bij,bij->bi", diff, diff))
-    return block, X.size
+        np.sqrt(np.einsum("bij,bij->bi", diff, diff), out=out)
+    return block, block_rows(X.size)
 
 
 def _correlation(Q, X):
@@ -194,23 +254,22 @@ def _correlation(Q, X):
     q_label, x_label = _row_labels(Q, X)
     d = X.shape[1]
     arrays = _correlation_arrays(d)
-    # allocated once; a block returns a view of them, valid until the next block
-    buffers = np.empty((arrays, min(len(Q), block_rows(arrays * len(X))), len(X)))
+    step = block_rows(arrays * len(X), CORRELATION_ELEMENTS)
+    buffers = np.empty((arrays, min(len(Q), step), len(X)))  # allocated once per call
 
-    def block(rows):
-        held = buffers[:, :len(Q[rows])]
+    def block(rows, out):
+        held = buffers[:, :len(out)]
         acc = held[:8]
-        dot = _add_reduce(lambda start, stop, out: np.multiply(
-            XcT[start:stop, None, :], QcT[start:stop, rows, None], out=out), d, acc, held[8:])
+        dot = _add_reduce(lambda start, stop, into: np.multiply(
+            XcT[start:stop, None, :], QcT[start:stop, rows, None], out=into), d, acc, held[8:])
         root = np.sqrt(np.multiply(x_norm, q_norm[rows, None], out=acc[1]), out=acc[1])
         # zero-variance pairs skip the division: their correlation is 0 by definition
         r = acc[2]
         r.fill(0.0)
         np.divide(dot, root, out=r, where=x_spread & q_spread[rows, None])
-        out = np.subtract(1.0, np.clip(r, -1.0, 1.0, out=r), out=r)
+        np.subtract(1.0, np.clip(r, -1.0, 1.0, out=r), out=out)
         out.reshape(-1)[np.flatnonzero(q_label[rows, None] == x_label)] = 0.0
-        return out
-    return block, arrays * len(X)
+    return block, step
 
 
 def _correlation_arrays(d):

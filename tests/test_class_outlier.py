@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,12 +19,14 @@ from ecoamlp.class_outlier import (
     ecodb_detect,
     ecof,
     remove_outliers,
+    _component_table,
     _min_max,
 )
-from ecoamlp.data import Dataset
-from ecoamlp.distance import Measure
+from ecoamlp.data import Dataset, pidd_schema
+from ecoamlp.distance import Measure, cross_distances, nearest_neighbours
 from ecoamlp.errors import ConfigError, DataError
 
+from conftest import load_module
 from synth import numeric_schema, random_dataset
 
 
@@ -346,3 +350,57 @@ class TestCheckOrder:
         ds = random_dataset(10, 3, seed=8)
         with pytest.raises(ConfigError, match="cannot report 11 outliers"):
             detect(ds, OutlierParams(k=3, n_outliers=11))
+
+
+def whole_matrix_components(ds, k, measure):
+    """The component table from the whole n x n matrix, each deviation a
+    1-D sum over one row's same-class columns."""
+    D = cross_distances(ds.features, ds.features, measure)
+    neighbours = nearest_neighbours(D, ds.ids, k, exclude_self=True)
+    same_count = np.count_nonzero(ds.labels[neighbours] == ds.labels[:, None], axis=1)
+    kdist = np.take_along_axis(D, neighbours, axis=1).sum(axis=1)
+    rows = np.arange(len(ds))
+    dev = np.array([D[r, (ds.labels == ds.labels[r]) & (rows != r)].sum() for r in rows])
+    return ds.ids, same_count, dev, kdist
+
+
+def blocked_table(lone_class):
+    """700 rows, so the distance matrix comes in many row blocks; integer
+    coordinates and repeated rows tie distances, and shuffled ids decide
+    the ties. The classes interleave, or class 1 holds one row."""
+    rng = np.random.default_rng(21)
+    features = rng.integers(0, 4, size=(700, 8)).astype(np.float64)
+    features[rng.integers(0, 700, 60)] = features[rng.integers(0, 700, 60)]
+    labels = np.zeros(700, dtype=np.int64)
+    if lone_class:
+        labels[333] = 1
+    else:
+        labels[rng.random(700) < 0.4] = 1
+    return Dataset(numeric_schema(8), features, labels, rng.permutation(700))
+
+
+class TestBlockedComponents:
+    @pytest.mark.parametrize("measure", list(Measure))
+    @pytest.mark.parametrize("lone_class", [False, True], ids=["interleaved", "lone"])
+    def test_equals_the_whole_matrix_bit_for_bit(self, measure, lone_class):
+        ds = blocked_table(lone_class)
+        got = _component_table(ds, 12, measure)
+        want = whole_matrix_components(ds, 12, measure)
+        for g, w in zip(got, want):
+            assert g.dtype.kind == w.dtype.kind and np.array_equal(g, w)
+            if g.dtype.kind == "f":
+                assert np.array_equal(g.view(np.int64), w.view(np.int64))
+        if lone_class:
+            assert got[2][333] == 0.0
+
+    def test_detection_never_holds_the_distance_matrix(self):
+        # the 3072 x 3072 matrix alone would be 72 MiB
+        features, labels = load_module("perfbench/pidd_table.py").generate(3072, 11)
+        ds = Dataset(pidd_schema(), features, labels, np.arange(3072))
+        tracemalloc.start()
+        try:
+            ecodb_detect(ds, OutlierParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

@@ -416,12 +416,17 @@ class TestExitCodes:
         assert err.startswith("internal error: RuntimeError")
 
 
+def module_command(*argv):
+    """``python -m ecoamlp.cli argv`` and an environment that finds the package."""
+    path = [str(Path(ecoamlp.cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return [sys.executable, "-m", "ecoamlp.cli", *argv], env
+
+
 def test_python_dash_m_runs_the_cli(data_csv):
     def module(*argv):
-        path = [str(Path(ecoamlp.cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-        return subprocess.run([sys.executable, "-m", "ecoamlp.cli", *argv, "--data", data_csv],
-                              capture_output=True, text=True, env=env, timeout=120)
+        command, env = module_command(*argv, "--data", data_csv)
+        return subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
 
     done = module("detect-outliers", "--k", "5", "--n-outliers", "2")
     assert done.returncode == 0
@@ -429,6 +434,16 @@ def test_python_dash_m_runs_the_cli(data_csv):
     done = module("run", "--repeats", "0")
     assert done.returncode == 1
     assert done.stderr == "error: repeats must be >= 1, got 0\n"
+
+
+def test_reader_closing_stdout_early_is_not_an_internal_error(data_csv):
+    command, env = module_command("detect-outliers", "--k", "5", "--data", data_csv)
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        proc.stdout.close()  # the reader leaves before the first line
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == ecoamlp.cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
 
 
 class TestSweep:

@@ -53,6 +53,11 @@ class TestSchema:
         with pytest.raises(ConfigError, match="non-empty"):
             Schema(("a", ""), ("0", "1"))
 
+    def test_empty_class_label_rejected(self):
+        # load_csv refuses a blank label cell, so such a label could never match
+        with pytest.raises(ConfigError, match="class labels must be non-empty"):
+            Schema(("a", "b"), ("", "yes"))
+
     def test_two_distinct_labels_required(self):
         with pytest.raises(ConfigError):
             Schema(("a",), ("x", "x"))
@@ -344,7 +349,7 @@ class TestLoadCsv:
         assert loaded.features.tolist() == [r[:-1] for r in rows]
         assert loaded.labels.tolist() == [0, 1, 0]
 
-    @pytest.mark.parametrize("schema", [Schema(("a", "b"), ("", "yes")), None],
+    @pytest.mark.parametrize("schema", [Schema(("a", "b"), ("no", "yes")), None],
                              ids=["schema", "infer"])
     def test_blank_label_rejected(self, tmp_path, schema):
         # inferred, a blank label would be a class named ''
@@ -362,6 +367,20 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=f"^{path}: row 1, column 1: header names "
                                             "'Glucose' where the schema expects 'Pregnancies'$"):
             load_csv(path, pidd_schema())
+
+    def test_header_wider_than_the_schema_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(",".join([*PIDD_FEATURES, "Outcome", "Extra"]) + "\n"
+                        "6,148,72,35,0,33.6,0.627,50,1\n1,85,66,29,0,26.6,0.351,31,0\n")
+        with pytest.raises(DataError, match=f"^{path}: row 1 has 10 columns, expected 9$"):
+            load_csv(path, pidd_schema())
+
+    def test_inferred_header_sets_the_width(self, tmp_path):
+        # without a schema the header's width is the table's, so a data row is refused
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,label,extra\n1,2,0,3\n4,5,1\n")
+        with pytest.raises(DataError, match=f"^{path}: row 3 has 3 columns, expected 4$"):
+            load_csv(path)
 
     def test_header_of_other_names_loads_by_position(self, tmp_path):
         path = tmp_path / "d.csv"

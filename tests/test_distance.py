@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 import oracles
 from ecoamlp.distance import (
     BLOCK_ELEMENTS,
+    CORRELATION_ELEMENTS,
     Measure,
     _add_reduce,
+    _block_kernel,
     _correlation_arrays,
     block_rows,
     cross_distances,
@@ -110,7 +112,7 @@ class TestVectorizedPaths:
         X[3] = X[7]  # duplicate rows
         X[9] = 2.0  # constant row
         for measure in (Measure.EUCLIDEAN, Measure.CORRELATION):
-            D = pairwise_distances(X, measure)
+            D = cross_distances(X, X, measure)
             for i in range(15):
                 for j in range(15):
                     assert D[i, j] == distance(X[i], X[j], measure)
@@ -119,7 +121,7 @@ class TestVectorizedPaths:
         rng = np.random.default_rng(6)
         X = rng.normal(size=(20, 4))
         for measure in (Measure.EUCLIDEAN, Measure.CORRELATION):
-            D = pairwise_distances(X, measure)
+            D = cross_distances(X, X, measure)
             assert np.array_equal(D, D.T)
             assert np.all(np.diag(D) == 0.0)
 
@@ -139,11 +141,11 @@ PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max
 def feature_matrices(draw, d=None):
     """Rows with ties, duplicates, sign-of-zero twins and constant rows.
 
-    Half the examples have enough rows that ``pairwise_distances`` fills
-    its output in two or more blocks.
+    Half the examples have enough rows that the kernel fills an X-against-X
+    matrix in two or more blocks.
     """
     d = draw(st.integers(2, 24)) if d is None else d
-    spanning = math.isqrt(2 * BLOCK_ELEMENTS // min(d, _correlation_arrays(d))) + 1
+    spanning = math.isqrt(2 * CORRELATION_ELEMENTS // min(d, _correlation_arrays(d))) + 1
     n = draw(st.one_of(st.integers(1, 12), st.integers(spanning, spanning + 40)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -174,8 +176,7 @@ def sample_pairs(m, X, seed, measure, size=150):
     n = len(X)
     if m * n <= size:
         return [(i, j) for i in range(m) for j in range(n)]
-    correlation = measure is Measure.CORRELATION
-    step = block_rows(_correlation_arrays(X.shape[1]) * n if correlation else X.size)
+    step = _block_kernel(X, X, measure)[1]
     edges = sorted({r for start in range(0, m, step) for r in (start, min(start + step, m) - 1)})
     rng = np.random.default_rng(seed)
     pairs = [(i, j) for i in edges for j in (0, n - 1)]
@@ -192,10 +193,23 @@ class TestBlockedMatrix:
     @PROPERTY_SETTINGS
     @given(X=feature_matrices())
     def test_pairwise_equals_scalar_distance_bit_for_bit(self, measure, X):
-        D = pairwise_distances(X, measure)
+        D = cross_distances(X, X, measure)
         pairs = sample_pairs(len(X), X, len(X), measure)
         got = np.array([D[i, j] for i, j in pairs])
         assert np.array_equal(bits(got), bits(scalar_reference(X, X, pairs, measure)))
+
+    @PROPERTY_SETTINGS
+    @given(X=feature_matrices())
+    def test_row_blocks_tile_the_matrix_bit_for_bit(self, measure, X):
+        # a block is valid until the next is drawn, so each is copied
+        blocks = [(start, block.copy()) for start, block in pairwise_distances(X, measure)]
+        step = block_rows(2 * len(X))
+        assert [start for start, _ in blocks] == list(range(0, len(X), step))
+        assert all(len(block) == min(step, len(X) - start) for start, block in blocks)
+        got = np.concatenate([block for _, block in blocks])
+        assert np.array_equal(bits(got), bits(cross_distances(X, X, measure)))
+        views = [block for _, block in pairwise_distances(X, measure)]
+        assert all(np.shares_memory(view, views[0]) for view in views)
 
     @PROPERTY_SETTINGS
     @given(data=st.data())
@@ -213,7 +227,7 @@ class TestBlockedMatrix:
     @PROPERTY_SETTINGS
     @given(X=feature_matrices())
     def test_symmetric_zero_diagonal_equal_and_constant_rows(self, measure, X):
-        D = pairwise_distances(X, measure)
+        D = cross_distances(X, X, measure)
         assert np.array_equal(bits(D), bits(D.T))
         assert np.array_equal(bits(np.diag(D)), bits(np.zeros(len(X))))
         assert np.all(D >= 0.0)
@@ -297,17 +311,18 @@ class TestBlockLayout:
         X = np.array([[0.0, 1.0, -2.0], [-0.0, 1.0, -2.0], [3.0, 3.0, 3.0],
                       [-1.0, -1.0, -1.0], [0.0, 0.0, 0.0], [-0.0, -0.0, 0.0],
                       [-0.0, -0.0, -0.0]])
-        D = pairwise_distances(X, Measure.CORRELATION)
+        D = cross_distances(X, X, Measure.CORRELATION)
         assert D[0, 1] == D[1, 0] == 0.0
         assert D[4, 5] == D[4, 6] == D[6, 4] == 0.0
         assert D[2, 3] == D[2, 4] == D[0, 2] == 1.0
-        assert pairwise_distances(X)[0, 1] == 0.0
+        assert cross_distances(X, X)[0, 1] == 0.0
 
     @pytest.mark.parametrize("measure", list(Measure))
     def test_column_major_input_gives_the_same_bits(self, measure):
         X = np.random.default_rng(9).normal(size=(40, 7))
-        want = pairwise_distances(X, measure)
-        got = pairwise_distances(np.asfortranarray(X), measure)
+        want = cross_distances(X, X, measure)
+        F = np.asfortranarray(X)
+        got = cross_distances(F, F, measure)
         assert np.array_equal(bits(got), bits(want))
         assert bits(want[3, 5]) == bits(distance(X[3], X[5], measure))
 
@@ -318,8 +333,9 @@ class TestBlockLayout:
         gc.disable()
         try:
             for measure in Measure:
-                pairwise_distances(X, measure)
-            nearest_neighbours(pairwise_distances(X), np.arange(300), 5, exclude_self=True)
+                for _ in pairwise_distances(X, measure):
+                    pass
+            nearest_neighbours(cross_distances(X, X), np.arange(300), 5, exclude_self=True)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -327,6 +343,8 @@ class TestBlockLayout:
     def test_non_2d_input_rejected(self):
         with pytest.raises(ValueError, match="2-D"):
             cross_distances(np.zeros(3), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="2-D"):
+            pairwise_distances(np.zeros(3))  # at the call, before any block
         with pytest.raises(ValueError, match="mismatch"):
             cross_distances(np.zeros((1, 3)), np.zeros((2, 4)))
 
@@ -366,12 +384,38 @@ class TestNearestNeighbours:
         got = nearest_neighbours(D, ids, k, exclude_self)
         assert np.array_equal(got, reference_neighbours(D, ids, k, exclude_self))
 
+    @PROPERTY_SETTINGS
+    @given(
+        n=st.integers(2, 40),
+        levels=st.integers(1, 6),
+        special=st.sampled_from([None, np.inf, np.nan]),
+        special_rate=st.sampled_from([0.2, 0.7]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_row_blocks_with_their_offset_equal_the_whole_matrix(
+            self, n, levels, special, special_rate, seed, data):
+        rng = np.random.default_rng(seed)
+        k = data.draw(st.integers(1, n - 1))
+        rows = data.draw(st.integers(1, n))
+        # few distinct values tie most k-th distances; many specials make
+        # the k-th distance non-finite, which takes the full-sort path
+        D = rng.integers(0, levels, size=(n, n)) * 0.5
+        if special is not None:
+            D[rng.random((n, n)) < special_rate] = special
+        ids = rng.permutation(10 * n)[:n]
+        want = reference_neighbours(D, ids, k, exclude_self=True)
+        got = np.concatenate([nearest_neighbours(D[start:start + rows], ids, k,
+                                                 exclude_self=True, start=start)
+                              for start in range(0, n, rows)])
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("exclude_self", [False, True])
     def test_every_row_twice(self, exclude_self):
         # bootstrap-like: each row has a twin at the same distance, ids repeated
         rng = np.random.default_rng(4)
         X = np.repeat(rng.integers(0, 4, size=(150, 3)).astype(np.float64), 2, axis=0)
-        D = pairwise_distances(X)
+        D = cross_distances(X, X)
         ids = np.repeat(rng.permutation(150), 2)
         for k in (1, 2, 5, 12):
             got = nearest_neighbours(D, ids, k, exclude_self)
