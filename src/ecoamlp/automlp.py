@@ -72,8 +72,8 @@ class AutoMlpParams:
         if not (1 <= lo < hi):
             raise ConfigError(f"hidden_range must satisfy 1 <= min < max, got {self.hidden_range}")
         lr_lo, lr_hi = self.lr_range
-        if not (0.0 < lr_lo < lr_hi):
-            raise ConfigError(f"lr_range must satisfy 0 < min < max, got {self.lr_range}")
+        if not (0.0 < lr_lo < lr_hi < math.inf):
+            raise ConfigError(f"lr_range must satisfy 0 < min < max < inf, got {self.lr_range}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 

@@ -18,7 +18,7 @@ import dataclasses
 import numpy as np
 
 from .data import Dataset, largest_remainder_allocation, round_half_up
-from .distance import Measure, cross_distances, nearest_neighbours
+from .distance import Measure, nearest_neighbours, pairwise_distances
 from .errors import ConfigError, DataError
 
 VARIANCE_FLOOR = 1e-9
@@ -99,16 +99,19 @@ def stratified_sample(train: Dataset, fraction: float, seed: int) -> Dataset:
 def knn_predict(train: Dataset, X: np.ndarray, k: int, measure: Measure) -> np.ndarray:
     """Majority vote of each row's k nearest training instances; a tie votes 0.
 
-    One ``cross_distances`` matrix (test rows x training rows, filled in
-    row blocks) feeds ``nearest_neighbours``, which orders neighbours by
-    (distance, id) exactly as a per-row ``lexsort`` would.
+    The rows of X take their neighbours one ``pairwise_distances`` row
+    block at a time (test rows x training rows), as the class-outlier
+    detectors do; ``nearest_neighbours`` orders each block's neighbours
+    by (distance, id) exactly as a per-row ``lexsort`` would.
     """
     if len(train) == 0:
         raise DataError("knn needs a non-empty training set")
     if not 1 <= k <= len(train):
         raise ConfigError(f"k must be in [1, {len(train)}], got {k}")
-    D = cross_distances(X, train.features, measure)
-    votes_one = train.labels[nearest_neighbours(D, train.ids, k)].sum(axis=1)
+    votes_one = np.empty(len(X), dtype=np.int64)
+    for start, D in pairwise_distances(X, train.features, measure):
+        neighbours = nearest_neighbours(D, train.ids, k)
+        votes_one[start:start + len(D)] = train.labels[neighbours].sum(axis=1)
     return (votes_one * 2 > k).astype(np.int64)
 
 

@@ -198,7 +198,7 @@ def _component_table(
         position[members] = np.arange(len(members))
     neighbours = np.empty((len(dataset), k), dtype=np.intp)
     dev, kdist = np.empty(len(dataset)), np.empty(len(dataset))
-    for start, D in pairwise_distances(dataset.features, measure):
+    for start, D in pairwise_distances(dataset.features, dataset.features, measure):
         rows = slice(start, start + len(D))
         neighbours[rows] = nearest_neighbours(D, ids, k, exclude_self=True, start=start)
         kdist[rows] = np.take_along_axis(D, neighbours[rows], axis=1).sum(axis=1)

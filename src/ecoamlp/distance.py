@@ -8,26 +8,25 @@ Two measures are supported:
   vector has zero variance the correlation is taken as 0 (distance 1),
   except that element-wise equal vectors are always at distance 0.
 
-One kernel computes distances from query rows Q to rows X; the per-call
-set-up (the centring, norms and ``_row_labels`` of correlation) runs once
-and each kernel call fills a block of query rows. Two functions use it:
-
-* ``cross_distances(Q, X)`` returns the whole (m, n) matrix, the form
-  k-NN voting needs.
-* ``pairwise_distances(X)`` never holds the n x n matrix: it yields its
-  consecutive row blocks ``(start, block)``, each a (rows, n) view of one
-  buffer that the next block overwrites. A block has ``block_rows(2 * n)``
-  rows, so it and a consumer's one copy of it fit ``BLOCK_ELEMENTS``
-  (512 KB) whatever the measure; the class-outlier detectors derive every
-  component from one block at a time.
+One kernel computes distances from query rows Q to rows X, and one
+generator, ``pairwise_distances(Q, X)``, serves every consumer of them:
+it runs the per-call set-up (the centring, norms and ``_row_labels`` of
+correlation) once, then yields the (m, n) matrix's consecutive row blocks
+``(start, block)``, each a (rows, n) view of one buffer that the next
+block overwrites. A block has ``block_rows(2 * n)`` rows, so it and a
+consumer's one copy of it fit ``BLOCK_ELEMENTS`` (512 KB) whatever the
+measure. The class-outlier detectors pass their matrix as both Q and X;
+k-NN passes its queries and training rows. Neither ever holds the whole
+matrix.
 
 Within a block the kernel takes as many query rows per call as its
 budget allows for what one query row of the call holds: d values per
 distance within ``BLOCK_ELEMENTS`` (512 KB) for euclidean,
 ``_correlation_arrays(d)`` within ``CORRELATION_ELEMENTS`` (2 MB) for
 correlation, whatever m is. The distance between two vectors is the
-1 x 1 case ``cross_distances(Q[i:i + 1], X[j:j + 1])[0, 0]``, and every
-entry is the same bits however many rows a call or a block holds.
+1 x 1 case, the single block of ``pairwise_distances(Q[i:i + 1],
+X[j:j + 1])``, and every entry is the same bits however many rows a call
+or a block holds.
 
 * Euclidean holds (rows, n, d) differences and reduces each distance on
   its own over the contiguous length-d feature axis with ``einsum``, the
@@ -44,8 +43,8 @@ No BLAS product is used: it would sum in another order and move the
 last bits.
 
 ``nearest_neighbours`` holds the one nearest-neighbour rule shared by the
-class-outlier detectors and k-NN voting: order columns by (distance, id,
-column), optionally leaving out each row's own column.
+class-outlier detectors and k-NN voting: order a block's columns by
+(distance, id, column), optionally leaving out each row's own column.
 
 No feature scaling happens here; callers decide what the coordinates mean.
 All functions are pure and safe to call concurrently.
@@ -62,8 +61,8 @@ from .errors import ConfigError
 
 BLOCK_ELEMENTS = 1 << 16
 """Values one block of rows may hold (2^16 float64 = 512 KB): a block of
-``pairwise_distances`` and one copy of it, or a block of
-``nearest_neighbours``."""
+``pairwise_distances`` and one copy of it, such as the one
+``nearest_neighbours`` makes to leave each row's own column out."""
 
 CORRELATION_ELEMENTS = 1 << 18
 """Values all the arrays of one correlation kernel call may hold (2^18
@@ -98,36 +97,35 @@ def block_rows(row_elements: int, budget: int = BLOCK_ELEMENTS) -> int:
 
 
 def pairwise_distances(
+    Q: np.ndarray,
     X: np.ndarray,
     measure: Measure = Measure.EUCLIDEAN,
 ) -> Iterator[Tuple[int, np.ndarray]]:
     """Consecutive row blocks ``(start, D[start:start + rows])`` of the
-    symmetric n x n distance matrix D, which has an exactly-zero diagonal.
+    (m, n) matrix D whose entry (i, j) is the distance from ``Q[i]`` to
+    ``X[j]``; with Q = X, D is symmetric with an exactly-zero diagonal.
 
     A block has ``block_rows(2 * n)`` rows, so it and one copy of it fit
     ``BLOCK_ELEMENTS``. Every block is a view of one buffer, valid until
     the next block is drawn: a fresh array per block cost a page fault
-    per 4 KB of it. The measure's set-up runs once, in this call, before
-    any block is drawn.
+    per 4 KB of it. The shape checks and the measure's set-up run once,
+    in this call, before any block is drawn.
     """
-    X = _matrix(X)
-    fill = _row_filler(X, X, measure)
-    step = block_rows(2 * len(X))
-    buffer = np.empty((min(step, len(X)), len(X)))
-    return ((start, fill(start, buffer[:len(X) - start]))
-            for start in range(0, len(X), step))
-
-
-def cross_distances(
-    Q: np.ndarray,
-    X: np.ndarray,
-    measure: Measure = Measure.EUCLIDEAN,
-) -> np.ndarray:
-    """(m, n) matrix whose entry (i, j) is the distance from ``Q[i]`` to ``X[j]``."""
     Q, X = _matrix(Q), _matrix(X)
     if Q.shape[1] != X.shape[1]:
         raise ValueError(f"length mismatch: {Q.shape[1]} vs {X.shape[1]} features")
-    return _row_filler(Q, X, measure)(0, np.empty((len(Q), len(X))))
+    kernel, step = _block_kernel(Q, X, measure)
+    rows = block_rows(2 * len(X))
+    buffer = np.empty((min(rows, len(Q)), len(X)))
+
+    def blocks():
+        for start in range(0, len(Q), rows):
+            block = buffer[:len(Q) - start]
+            for at in range(0, len(block), step):
+                part = block[at:at + step]
+                kernel(slice(start + at, start + at + len(part)), part)
+            yield start, block
+    return blocks()
 
 
 def nearest_neighbours(
@@ -137,53 +135,46 @@ def nearest_neighbours(
     exclude_self: bool = False,
     start: int = 0,
 ) -> np.ndarray:
-    """Column indices of each row's k nearest columns of ``D``, nearest first.
+    """Column indices of each row's k nearest columns of the block ``D``,
+    nearest first.
 
     Columns are ordered by (distance, ``ids[column]``, column). With
     ``exclude_self`` D is the row block that starts at row ``start`` of a
-    square matrix, and its row i never picks column start + i. Each
-    block of rows is partitioned with ``argpartition`` (the own column set
-    to +inf) and the k picks sorted by (distance, id, column). Where a
-    row's finite k-th distance ties a column left out, the block's tied
-    rows are partitioned again on one integer key: every column nearer
-    than the k-th distance comes first, then the columns at it in (id,
-    column) order. A row whose k-th distance is not finite is redone alone
-    with a full ``lexsort`` of its row of D. So the result is exactly the
-    first k of that full sort.
+    square matrix, and its row i never picks column start + i. The block
+    is partitioned with ``argpartition`` (the own column set to +inf) and
+    the k picks sorted by (distance, id, column). Where a row's finite
+    k-th distance ties a column left out, the tied rows are partitioned
+    again on one integer key: every column nearer than the k-th distance
+    comes first, then the columns at it in (id, column) order. A row whose
+    k-th distance is not finite is redone alone with a full ``lexsort`` of
+    its row. So the result is exactly the first k of that full sort.
     """
-    m, n = D.shape
-    out = np.empty((m, k), dtype=np.intp)
-    rank = None  # each column's place in (id, column) order, sorted at the first tie
-    step = block_rows(n)
-    for first in range(0, m, step):
-        block = D[first:first + step]
-        b = block.shape[0]
+    b, n = D.shape
+    if exclude_self:
+        D = D.copy()
+        D[np.arange(b), np.arange(start, start + b)] = np.inf
+    picks = np.argpartition(D, k - 1, axis=1)[:, :k]
+    kth = np.take_along_axis(D, picks[:, k - 1:], axis=1)
+    finite = np.isfinite(kth[:, 0])
+    tied = np.flatnonzero(finite & (np.count_nonzero(D <= kth, axis=1) > k))
+    if tied.size:
+        # each column's place in (id, column) order
+        rank = np.empty(n, dtype=np.int32)
+        rank[np.argsort(ids, kind="stable")] = np.arange(n)
+        # every column nearer than the k-th goes in; columns at it fill up by rank
+        rows, at = D[tied], kth[tied]
+        key = np.full(rows.shape, n, dtype=np.int32)
+        np.copyto(key, rank, where=rows == at)
+        np.copyto(key, -1, where=rows < at)
+        picks[tied] = np.argpartition(key, k - 1, axis=1)[:, :k]
+    dists = np.take_along_axis(D, picks, axis=1)
+    order = np.lexsort((picks, ids[picks], dists), axis=1)
+    out = np.take_along_axis(picks, order, axis=1)
+    for r in np.flatnonzero(~finite):
+        full = np.lexsort((ids, D[r]))
         if exclude_self:
-            block = block.copy()
-            block[np.arange(b), np.arange(start + first, start + first + b)] = np.inf
-        picks = np.argpartition(block, k - 1, axis=1)[:, :k]
-        kth = np.take_along_axis(block, picks[:, k - 1:], axis=1)
-        finite = np.isfinite(kth[:, 0])
-        tied = np.flatnonzero(finite & (np.count_nonzero(block <= kth, axis=1) > k))
-        if tied.size:
-            if rank is None:
-                rank = np.empty(n, dtype=np.int32)
-                rank[np.argsort(ids, kind="stable")] = np.arange(n)
-            # every column nearer than the k-th goes in; columns at it fill up by rank
-            rows, at = block[tied], kth[tied]
-            key = np.full(rows.shape, n, dtype=np.int32)
-            np.copyto(key, rank, where=rows == at)
-            np.copyto(key, -1, where=rows < at)
-            picks[tied] = np.argpartition(key, k - 1, axis=1)[:, :k]
-        dists = np.take_along_axis(block, picks, axis=1)
-        order = np.lexsort((picks, ids[picks], dists), axis=1)
-        out[first:first + b] = np.take_along_axis(picks, order, axis=1)
-        for r in np.flatnonzero(~finite):
-            row = first + r
-            full = np.lexsort((ids, D[row]))
-            if exclude_self:
-                full = full[full != start + row]
-            out[row] = full[:k]
+            full = full[full != start + r]
+        out[r] = full[:k]
     return out
 
 
@@ -193,24 +184,6 @@ def _matrix(A: np.ndarray) -> np.ndarray:
     if A.ndim != 2:
         raise ValueError("Q and X must be 2-D matrices of row vectors")
     return A
-
-
-def _row_filler(
-    Q: np.ndarray,
-    X: np.ndarray,
-    measure: Measure,
-) -> Callable[[int, np.ndarray], np.ndarray]:
-    """``fill(start, out)``: writes the distances from the rows of Q from
-    ``start`` on to every row of X into ``out`` and returns it, in as few
-    kernel calls as the measure's budget allows. The set-up of the measure
-    runs once, here."""
-    kernel, step = _block_kernel(Q, X, measure)
-
-    def fill(start, out):
-        for at in range(0, len(out), step):
-            kernel(slice(start + at, start + min(at + step, len(out))), out[at:at + step])
-        return out
-    return fill
 
 
 def _block_kernel(

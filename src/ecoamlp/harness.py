@@ -582,16 +582,17 @@ def run_sweep(
         raise ConfigError("sweep needs at least one variant")
     if len(set(variants)) != len(variants):
         raise ConfigError(f"duplicate sweep variants in {variants}")
+    # the axis names the section whose kind varies; output_dir stays out of
+    # the nested configs, which the sweep report carries. Every variant's
+    # section is built, and so checked, before the first repeat runs.
+    configs = {}
+    for variant in variants:
+        section = dataclasses.replace(getattr(config, axis), kind=variant)
+        configs[variant] = dataclasses.replace(config, output_dir=None, **{axis: section})
     if dataset is None:
         dataset = load_dataset(config)
     splits = _split_repeats(dataset, config)
-    runs: Dict[str, RunReport] = {}
-    for variant in variants:
-        # the axis names the section whose kind varies; output_dir stays out
-        # of the nested configs, which the sweep report carries
-        section = dataclasses.replace(getattr(config, axis), kind=variant)
-        cfg = dataclasses.replace(config, output_dir=None, **{axis: section})
-        runs[variant] = _run_splits(cfg, splits)
+    runs = {variant: _run_splits(cfg, splits) for variant, cfg in configs.items()}
     return SweepReport(
         axis=axis,
         variants=variants,

@@ -13,11 +13,14 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import ecoamlp.harness as harness  # noqa: E402
 from ecoamlp.data import load_csv, pidd_schema  # noqa: E402
+from ecoamlp.distance import Measure, pairwise_distances  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_PIDD = ROOT / "data" / "pima_indians_diabetes.csv"
@@ -33,6 +36,13 @@ def load_module(relative: str):
     return module
 
 
+def distance_matrix(Q, X, measure=Measure.EUCLIDEAN):
+    """The whole matrix of distances from the rows of Q to the rows of X:
+    the row blocks of ``pairwise_distances``, each copied before the next
+    overwrites it."""
+    return np.concatenate([block.copy() for _, block in pairwise_distances(Q, X, measure)])
+
+
 def pidd_csv_path():
     return Path(os.environ.get("ECOAMLP_PIDD", DEFAULT_PIDD))
 
@@ -46,6 +56,20 @@ def require_pidd():
             "networked machine with scripts/fetch_pidd.py or set ECOAMLP_PIDD"
         )
     return path
+
+
+@pytest.fixture()
+def repeat_calls(monkeypatch):
+    """The arguments of each ``harness.run_repeat`` call, one entry per call."""
+    calls = []
+    original = harness.run_repeat
+
+    def record(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(harness, "run_repeat", record)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -222,6 +222,7 @@ class TestParamValidation:
         dict(lr_range=(0.5, 0.1)),
         dict(lr_range=(0.0, 0.1)),
         dict(seed=-1),
+        dict(lr_range=(1e-3, float("inf"))),
     ])
     def test_bad_params(self, kwargs):
         with pytest.raises(ConfigError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -21,10 +23,11 @@ from ecoamlp.baselines import (
     ztransform_fit,
 )
 from ecoamlp.data import Dataset
-from ecoamlp.distance import Measure, cross_distances
+from ecoamlp.distance import Measure, block_rows
 from ecoamlp.errors import ConfigError, DataError
 from ecoamlp.harness import Preprocessor
 
+from conftest import distance_matrix, load_module
 from synth import numeric_schema, random_dataset
 
 
@@ -255,11 +258,37 @@ class TestKnn:
         k = data.draw(st.sampled_from(sorted({1, max(1, n // 2), n})))
         want = []
         for q in queries:
-            dists = np.array([cross_distances(q[None], train.features[j:j + 1], measure)[0, 0]
+            dists = np.array([distance_matrix(q[None], train.features[j:j + 1], measure)[0, 0]
                               for j in range(n)])
             votes = train.labels[np.lexsort((train.ids, dists))[:k]].sum()
             want.append(1 if votes * 2 > k else 0)
         assert knn_predict(train, queries, k=k, measure=measure).tolist() == want
+
+    @pytest.mark.parametrize("measure,name", [
+        (Measure.EUCLIDEAN, "euclidean"), (Measure.CORRELATION, "correlation"),
+    ])
+    def test_queries_span_several_blocks(self, measure, name):
+        # integer features tie k-th distances; shuffled ids decide the ties
+        rng = np.random.default_rng(23)
+        train = Dataset(numeric_schema(4), rng.integers(0, 4, size=(300, 4)).astype(float),
+                        rng.integers(0, 2, size=300), rng.permutation(300))
+        queries = rng.integers(0, 4, size=(250, 4)).astype(float)
+        assert len(queries) > 2 * block_rows(2 * len(train))
+        got = knn_predict(train, queries, k=7, measure=measure)
+        assert got.tolist() == [brute_force_knn(train, q.tolist(), 7, name) for q in queries]
+
+    @pytest.mark.parametrize("measure", list(Measure))
+    def test_voting_never_holds_the_distance_matrix(self, measure):
+        # the 3072 x 3072 matrix alone would be 72 MiB
+        features, labels = load_module("perfbench/pidd_table.py").generate(3072, 11)
+        train = Dataset(numeric_schema(8), features, labels, np.arange(3072))
+        tracemalloc.start()
+        try:
+            knn_predict(train, features, k=5, measure=measure)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_errors(self):
         ds = random_dataset(5, 2, seed=13)

@@ -23,10 +23,10 @@ from ecoamlp.class_outlier import (
     _min_max,
 )
 from ecoamlp.data import Dataset, pidd_schema
-from ecoamlp.distance import Measure, cross_distances, nearest_neighbours
+from ecoamlp.distance import Measure, nearest_neighbours
 from ecoamlp.errors import ConfigError, DataError
 
-from conftest import load_module
+from conftest import distance_matrix, load_module
 from synth import numeric_schema, random_dataset
 
 
@@ -355,7 +355,7 @@ class TestCheckOrder:
 def whole_matrix_components(ds, k, measure):
     """The component table from the whole n x n matrix, each deviation a
     1-D sum over one row's same-class columns."""
-    D = cross_distances(ds.features, ds.features, measure)
+    D = distance_matrix(ds.features, ds.features, measure)
     neighbours = nearest_neighbours(D, ds.ids, k, exclude_self=True)
     same_count = np.count_nonzero(ds.labels[neighbours] == ds.labels[:, None], axis=1)
     kdist = np.take_along_axis(D, neighbours, axis=1).sum(axis=1)

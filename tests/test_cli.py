@@ -380,6 +380,17 @@ class TestExitCodes:
         path.write_text(json.dumps(obj))
         assert run_cli(capsys, "run", "--config", str(path)) == (1, "", f"error: {message}\n")
 
+    def test_infinite_learning_rate_bound_is_exit_one(self, data_csv, capsys, tmp_path):
+        message = "error: lr_range must satisfy 0 < min < max < inf, got (0.001, inf)\n"
+        assert run_cli(capsys, "run", "--data", data_csv, "--lr-range", "0.001", "inf") == \
+            (1, "", message)
+        # json.load reads the Infinity that json.dumps writes
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            {"data": data_csv, "classifier": {"automlp": {"lr_range": [0.001, float("inf")]}}}))
+        assert "Infinity" in path.read_text()
+        assert run_cli(capsys, "run", "--config", str(path)) == (1, "", message)
+
     def test_flag_value_error_message(self, capsys):
         assert run_cli(capsys, "run", "--knn-k", "0") == \
             (1, "", "error: knn_k must be >= 1, got 0\n")
@@ -502,6 +513,16 @@ class TestSweep:
                              "--classifier", "knn", "--axis", "classifier",
                              "--variants", "knn,svm")
         assert code == 1
+
+    @pytest.mark.parametrize("axis,variants", [
+        ("preprocessor", "none,ecodb,bogus"), ("classifier", "knn,nb,bogus"),
+    ])
+    def test_unknown_variant_runs_no_repeat(self, data_csv, capsys, repeat_calls,
+                                            axis, variants):
+        code, out, err = run_cli(capsys, "sweep", "--data", data_csv, "--classifier", "knn",
+                                 "--axis", axis, "--variants", variants)
+        assert (code, out, repeat_calls) == (1, "", [])
+        assert err.startswith(f"error: unknown {axis} 'bogus' (choose from: ")
 
 
 class TestDetectOutliers:

@@ -19,16 +19,17 @@ from ecoamlp.distance import (
     _block_kernel,
     _correlation_arrays,
     block_rows,
-    cross_distances,
     nearest_neighbours,
     pairwise_distances,
 )
 from ecoamlp.errors import ConfigError
 
+from conftest import distance_matrix
+
 
 def distance(a, b, measure=Measure.EUCLIDEAN):
     """The distance between two vectors: the kernel's 1 x 1 case."""
-    return cross_distances(np.reshape(a, (1, -1)), np.reshape(b, (1, -1)), measure)[0, 0]
+    return distance_matrix(np.reshape(a, (1, -1)), np.reshape(b, (1, -1)), measure)[0, 0]
 
 
 class TestParse:
@@ -112,7 +113,7 @@ class TestVectorizedPaths:
         X[3] = X[7]  # duplicate rows
         X[9] = 2.0  # constant row
         for measure in (Measure.EUCLIDEAN, Measure.CORRELATION):
-            D = cross_distances(X, X, measure)
+            D = distance_matrix(X, X, measure)
             for i in range(15):
                 for j in range(15):
                     assert D[i, j] == distance(X[i], X[j], measure)
@@ -121,7 +122,7 @@ class TestVectorizedPaths:
         rng = np.random.default_rng(6)
         X = rng.normal(size=(20, 4))
         for measure in (Measure.EUCLIDEAN, Measure.CORRELATION):
-            D = cross_distances(X, X, measure)
+            D = distance_matrix(X, X, measure)
             assert np.array_equal(D, D.T)
             assert np.all(np.diag(D) == 0.0)
 
@@ -129,7 +130,7 @@ class TestVectorizedPaths:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(10, 6))
         q = rng.normal(size=6)
-        d = cross_distances(q.reshape(1, -1), X, Measure.CORRELATION)
+        d = distance_matrix(q.reshape(1, -1), X, Measure.CORRELATION)
         for i in range(10):
             assert d[0, i] == distance(q, X[i], Measure.CORRELATION)
 
@@ -172,12 +173,15 @@ def scalar_reference(Q, X, pairs, measure):
 
 def sample_pairs(m, X, seed, measure, size=150):
     """Every pair when the (m, len(X)) matrix is small, else the first and
-    last row of every block the kernel fills, plus a random sample."""
+    last row of every kernel call within each row block, plus a random
+    sample."""
     n = len(X)
     if m * n <= size:
         return [(i, j) for i in range(m) for j in range(n)]
-    step = _block_kernel(X, X, measure)[1]
-    edges = sorted({r for start in range(0, m, step) for r in (start, min(start + step, m) - 1)})
+    step, rows = _block_kernel(X, X, measure)[1], block_rows(2 * n)
+    edges = sorted({r for start in range(0, m, rows)
+                    for at in range(start, min(start + rows, m), step)
+                    for r in (at, min(at + step, start + rows, m) - 1)})
     rng = np.random.default_rng(seed)
     pairs = [(i, j) for i in edges for j in (0, n - 1)]
     pairs += list(zip(rng.integers(0, m, size).tolist(), rng.integers(0, n, size).tolist()))
@@ -193,7 +197,7 @@ class TestBlockedMatrix:
     @PROPERTY_SETTINGS
     @given(X=feature_matrices())
     def test_pairwise_equals_scalar_distance_bit_for_bit(self, measure, X):
-        D = cross_distances(X, X, measure)
+        D = distance_matrix(X, X, measure)
         pairs = sample_pairs(len(X), X, len(X), measure)
         got = np.array([D[i, j] for i, j in pairs])
         assert np.array_equal(bits(got), bits(scalar_reference(X, X, pairs, measure)))
@@ -202,13 +206,15 @@ class TestBlockedMatrix:
     @given(X=feature_matrices())
     def test_row_blocks_tile_the_matrix_bit_for_bit(self, measure, X):
         # a block is valid until the next is drawn, so each is copied
-        blocks = [(start, block.copy()) for start, block in pairwise_distances(X, measure)]
+        blocks = [(start, block.copy()) for start, block in pairwise_distances(X, X, measure)]
         step = block_rows(2 * len(X))
         assert [start for start, _ in blocks] == list(range(0, len(X), step))
         assert all(len(block) == min(step, len(X) - start) for start, block in blocks)
         got = np.concatenate([block for _, block in blocks])
-        assert np.array_equal(bits(got), bits(cross_distances(X, X, measure)))
-        views = [block for _, block in pairwise_distances(X, measure)]
+        # the reference fills one query row per call, so no two rows share a block
+        rows = [distance_matrix(X[i:i + 1], X, measure) for i in range(len(X))]
+        assert np.array_equal(bits(got), bits(np.concatenate(rows)))
+        views = [block for _, block in pairwise_distances(X, X, measure)]
         assert all(np.shares_memory(view, views[0]) for view in views)
 
     @PROPERTY_SETTINGS
@@ -218,7 +224,7 @@ class TestBlockedMatrix:
         Q = data.draw(feature_matrices(d=X.shape[1]))
         shared = min(len(Q), len(X)) // 2
         Q[:shared] = X[:shared]
-        D = cross_distances(Q, X, measure)
+        D = distance_matrix(Q, X, measure)
         assert D.shape == (len(Q), len(X))
         pairs = sample_pairs(len(Q), X, len(Q), measure)
         got = np.array([D[i, j] for i, j in pairs])
@@ -227,7 +233,7 @@ class TestBlockedMatrix:
     @PROPERTY_SETTINGS
     @given(X=feature_matrices())
     def test_symmetric_zero_diagonal_equal_and_constant_rows(self, measure, X):
-        D = cross_distances(X, X, measure)
+        D = distance_matrix(X, X, measure)
         assert np.array_equal(bits(D), bits(D.T))
         assert np.array_equal(bits(np.diag(D)), bits(np.zeros(len(X))))
         assert np.all(D >= 0.0)
@@ -294,7 +300,7 @@ class TestColumnSums:
         Q = data.draw(feature_matrices(d=d))
         shared = min(len(Q), len(X)) // 2
         Q[:shared] = X[:shared]
-        D = cross_distances(Q, X, Measure.CORRELATION)
+        D = distance_matrix(Q, X, Measure.CORRELATION)
         pairs = sample_pairs(len(Q), X, d, Measure.CORRELATION)
         want = [per_pair_correlation(Q[i], X[j]) for i, j in pairs]
         assert np.array_equal(bits([D[i, j] for i, j in pairs]), bits(want))
@@ -311,18 +317,18 @@ class TestBlockLayout:
         X = np.array([[0.0, 1.0, -2.0], [-0.0, 1.0, -2.0], [3.0, 3.0, 3.0],
                       [-1.0, -1.0, -1.0], [0.0, 0.0, 0.0], [-0.0, -0.0, 0.0],
                       [-0.0, -0.0, -0.0]])
-        D = cross_distances(X, X, Measure.CORRELATION)
+        D = distance_matrix(X, X, Measure.CORRELATION)
         assert D[0, 1] == D[1, 0] == 0.0
         assert D[4, 5] == D[4, 6] == D[6, 4] == 0.0
         assert D[2, 3] == D[2, 4] == D[0, 2] == 1.0
-        assert cross_distances(X, X)[0, 1] == 0.0
+        assert distance_matrix(X, X)[0, 1] == 0.0
 
     @pytest.mark.parametrize("measure", list(Measure))
     def test_column_major_input_gives_the_same_bits(self, measure):
         X = np.random.default_rng(9).normal(size=(40, 7))
-        want = cross_distances(X, X, measure)
+        want = distance_matrix(X, X, measure)
         F = np.asfortranarray(X)
-        got = cross_distances(F, F, measure)
+        got = distance_matrix(F, F, measure)
         assert np.array_equal(bits(got), bits(want))
         assert bits(want[3, 5]) == bits(distance(X[3], X[5], measure))
 
@@ -333,20 +339,20 @@ class TestBlockLayout:
         gc.disable()
         try:
             for measure in Measure:
-                for _ in pairwise_distances(X, measure):
-                    pass
-            nearest_neighbours(cross_distances(X, X), np.arange(300), 5, exclude_self=True)
+                for start, block in pairwise_distances(X, X, measure):
+                    nearest_neighbours(block, np.arange(300), 5, exclude_self=True, start=start)
             assert gc.collect() == 0
         finally:
             gc.enable()
 
     def test_non_2d_input_rejected(self):
+        # each at the call, before any block is drawn
         with pytest.raises(ValueError, match="2-D"):
-            cross_distances(np.zeros(3), np.zeros((2, 3)))
+            pairwise_distances(np.zeros(3), np.zeros((2, 3)))
         with pytest.raises(ValueError, match="2-D"):
-            pairwise_distances(np.zeros(3))  # at the call, before any block
+            pairwise_distances(np.zeros((2, 3)), np.zeros(3))
         with pytest.raises(ValueError, match="mismatch"):
-            cross_distances(np.zeros((1, 3)), np.zeros((2, 4)))
+            pairwise_distances(np.zeros((1, 3)), np.zeros((2, 4)))
 
 
 def reference_neighbours(D, ids, k, exclude_self):
@@ -415,18 +421,21 @@ class TestNearestNeighbours:
         # bootstrap-like: each row has a twin at the same distance, ids repeated
         rng = np.random.default_rng(4)
         X = np.repeat(rng.integers(0, 4, size=(150, 3)).astype(np.float64), 2, axis=0)
-        D = cross_distances(X, X)
+        D = distance_matrix(X, X)
         ids = np.repeat(rng.permutation(150), 2)
         for k in (1, 2, 5, 12):
             got = nearest_neighbours(D, ids, k, exclude_self)
             assert np.array_equal(got, reference_neighbours(D, ids, k, exclude_self))
 
     def test_wide_rows_span_several_blocks(self):
+        # as the detectors take them: one row block at a time, with its offset
         rng = np.random.default_rng(8)
         n = 600
-        assert block_rows(n) < n // 4
-        D = rng.integers(0, 50, size=(n, n)).astype(np.float64)
+        assert block_rows(2 * n) < n // 4
+        X = rng.integers(0, 4, size=(n, 3)).astype(np.float64)
+        D = distance_matrix(X, X)
         ids = rng.permutation(n)
         for k in (1, 12, n - 1):
-            got = nearest_neighbours(D, ids, k, exclude_self=True)
+            got = np.concatenate([nearest_neighbours(block, ids, k, exclude_self=True, start=start)
+                                  for start, block in pairwise_distances(X, X)])
             assert np.array_equal(got, reference_neighbours(D, ids, k, True))

@@ -18,11 +18,11 @@ import pytest
 from ecoamlp.automlp import AutoMlpParams, fit_automlp
 from ecoamlp.class_outlier import OutlierParams, codb_detect, ecodb_detect
 from ecoamlp.data import SplitSpec, split
-from ecoamlp.distance import Measure, cross_distances
+from ecoamlp.distance import Measure
 from ecoamlp.harness import (ClassifierConfig, ExperimentConfig, Preprocessor, json_obj,
                              run_experiment, run_sweep)
 
-from conftest import load_module
+from conftest import distance_matrix, load_module
 from synth import random_dataset
 
 
@@ -115,9 +115,9 @@ def test_correlation_matrix(kind, d):
     if kind == "cross":
         Q = _random_table(31, d, seed=100 + d)
         Q[3] = X[5]
-        D = cross_distances(Q, X, Measure.CORRELATION)
+        D = distance_matrix(Q, X, Measure.CORRELATION)
     else:
-        D = cross_distances(X, X, Measure.CORRELATION)
+        D = distance_matrix(X, X, Measure.CORRELATION)
     assert _array_digest(D) == MATRIX_GOLDEN[(kind, d)]
 
 
@@ -126,7 +126,7 @@ PIDD_MATRIX_GOLDEN = "8ac55a8210852e6034ee5784b3a1e313f2f2ebf23e249d3df827ba3abd
 
 def test_correlation_matrix_on_pidd_shaped_rows():
     features, _ = load_module("perfbench/pidd_table.py").generate(768, 0)
-    D = cross_distances(features[:538], features[:538], Measure.CORRELATION)
+    D = distance_matrix(features[:538], features[:538], Measure.CORRELATION)
     assert _array_digest(D) == PIDD_MATRIX_GOLDEN
 
 

@@ -491,6 +491,18 @@ class TestSweep:
         with pytest.raises(ConfigError):
             run_sweep(knn_config(), "classifier", ("knn", "svm"), dataset=dataset)
 
+    @pytest.mark.parametrize("axis,variants", [
+        ("preprocessor", ("none", "ztransform", "bogus")),
+        ("classifier", ("knn", "nb", "bogus")),
+    ])
+    def test_unknown_variant_rejected_before_any_repeat(self, dataset, repeat_calls,
+                                                        axis, variants):
+        with pytest.raises(ConfigError, match=f"unknown {axis} 'bogus'"):
+            run_sweep(knn_config(repeats=3), axis, variants, dataset=dataset)
+        assert repeat_calls == []
+        run_sweep(knn_config(repeats=3), axis, variants[:2], dataset=dataset)
+        assert len(repeat_calls) == 6
+
     def test_writes_sweep_files(self, dataset, tmp_path):
         # the sweep only returns its report; its writer puts it at output_dir
         out = tmp_path / "sweepdir"
